@@ -3,6 +3,11 @@
 With recovery rate 1 and infection rate lam per weighted edge, the expected
 weight-at-the-origin observable starts at the mean weight and, whenever
 d * lam * E[rho^2] < 1, stays under mean * exp((d lam E[rho^2] - 1) t).
+
+The observable is the apex weight times the apex state under the
+all-infected start.  By duality the estimator never runs that start: each
+replicate runs the reversed process from the apex alone and scores the apex
+weight at every time it is still alive.
 """
 
 from orientedcp import WeightDistribution, decay_envelope, weighted_origin_occupancy
@@ -18,7 +23,7 @@ print(f"{'t':>4} {'estimate':>10} {'se':>8} {'envelope':>10}")
 for t, v, se in zip(occ.times, occ.values, occ.standard_errors):
     env = decay_envelope(dist, d, lam, t)
     print(f"{t:4.1f} {v:10.4f} {se:8.4f} {env:10.4f}")
-print("the t=0 value is exact: the state factor is 1 under the full start")
+print("the t=0 value is exact: every vertex starts infected, so the state factor is 1")
 
 # with random weights the envelope uses the second moment, not the mean
 tp = WeightDistribution.two_point(0.5)

@@ -199,7 +199,6 @@ class CritScanResult:
     status: str               # "converged" or "statistically_limited"
     trace: tuple              # SurvivalEstimate probes, in probe order
     mean_field_ref: float     # 1 / (d * E rho^2)
-    lower_bound_ref: float    # same number, in its role as the decay floor
     box_converged: bool | None
     box_check: tuple          # () or (base, doubled) SurvivalEstimate pair
 
@@ -299,5 +298,5 @@ def estimate_critical_rate(dist: WeightDistribution, d: int,
     return CritScanResult(d=d, dist_label=dist.label, side=side, horizon=float(horizon),
                           threshold=threshold, tol=tol, bracket=(lo, hi),
                           lam_hat=lam_hat, status=status, trace=tuple(trace),
-                          mean_field_ref=mf, lower_bound_ref=mf,
+                          mean_field_ref=mf,
                           box_converged=box_converged, box_check=box_pair)

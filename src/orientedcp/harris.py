@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
-from .weights import WeightDistribution, WeightField, sample_field, seed_key
+from .weights import WeightDistribution, WeightField, rng_from, sample_field, seed_key
 
 _MARK, _ARROW = 0, 1
 
@@ -92,12 +92,8 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
     """
     if lam < 0 or horizon <= 0:
         raise ValueError("need lam >= 0 and horizon > 0")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-        seed_val = seed.entropy
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        seed_val = seed
+    rng = rng_from(seed)
+    seed_val = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     V = box.n_vertices
     rho = fld.weights
 
@@ -374,8 +370,7 @@ def thin_arrows(rep: GraphicalRep, fractions, seed) -> list[GraphicalRep]:
     fr = [float(f) for f in fractions]
     if any(not 0.0 <= f <= 1.0 for f in fr):
         raise ValueError(f"fractions must lie in [0, 1]: {fr}")
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else np.random.SeedSequence(seed))
+    rng = rng_from(seed)
     keys = sorted(rep.arrows.keys())
     unis = {k: rng.random(len(rep.arrows[k])) for k in keys}
     out = []

@@ -15,6 +15,15 @@ a lazy-deletion heap, and resampling of a vertex's clock whenever its total
 rate changes.  By memorylessness this reproduces the jump chain exactly.
 Given equal seeds and equal rate values it consumes randomness identically,
 which the scale-equivalence tests rely on.
+
+The decay profile f(t) = E[rho(apex) * 1{apex infected at t}] from the
+all-infected start is estimated through duality: in the graphical
+construction on the box, realization by realization, the apex is infected
+at t from the all-infected start exactly when the ``eta_hat`` process
+started from the apex alone is still alive at t (``harris.duality_check``
+verifies this).  One dual run per replicate therefore reads every sample
+time, and it touches only the backward cluster of the apex instead of the
+whole box.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
-from .weights import WeightDistribution, WeightField, sample_field, seed_key
+from .weights import (WeightDistribution, WeightField, rng_from, sample_field,
+                      seed_key)
 
 ETA = "eta"
 ETA_HAT = "eta_hat"
@@ -127,14 +137,6 @@ class _ExpPool:
         return self.buf[i]
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         seed, sample_times=(), probe=None) -> SimResult:
     """Simulate from ``cfg`` up to ``horizon`` and return the outcome.
@@ -170,8 +172,7 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
             pressure[z] += rx
     n_inf = int(infected.size)
 
-    rng = _as_rng(seed)
-    pool = _ExpPool(rng)
+    pool = _ExpPool(rng_from(seed))
     version = np.zeros(V, dtype=np.int64)
     heap: list = []
     push = heapq.heappush
@@ -213,7 +214,6 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
                 probe_trace.append((samples[sptr], int(states[probe])))
             sptr += 1
 
-    survived = n_inf > 0
     extinction_time = cfg.clock if n_inf == 0 else math.inf
 
     while heap and n_inf > 0:
@@ -307,6 +307,18 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
     defaults to ceil(max time) + slack; doubling it is the standard
     truncation check.  At t = 0 the state factor is identically 1, so the
     exact mean weight is returned with zero standard error.
+
+    Each replicate draws a weight field and runs the reversed process
+    ``eta_hat`` from the apex alone up to the largest time; it scores
+    rho(apex) at every sample time where that dual run is still alive.
+    This is exact in the box, not an approximation.  In the graphical
+    construction an arrow x -> y fires at rate lam * rho(x) * rho(y)
+    whichever way time is read, and the apex is infected at t from the
+    all-infected start precisely when an infection path leads back from
+    (apex, t) to time 0, which is the event that the dual run survives to
+    t.  Given the field, both readings therefore have the same law, so the
+    forward estimator and this one share their expectation.  A dead dual
+    stays dead, so the values are non-increasing in t for every seed.
     """
     ts = sorted(set(float(t) for t in times))
     if not ts or ts[0] < 0:
@@ -324,13 +336,13 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
     if positive:
         for rep_i in range(reps):
             fld = sample_field(dist, box, np.random.SeedSequence(key + [rep_i, 0]))
-            cfg = Configuration.all_infected(box)
-            res = run(cfg, fld, lam, horizon=tmax,
+            res = run(Configuration.single_seed(box, box.apex, mode=ETA_HAT), fld,
+                      lam, horizon=tmax,
                       seed=np.random.SeedSequence(key + [rep_i, 1]),
-                      sample_times=positive, probe=apex)
+                      sample_times=positive)
             w_apex = fld.weights[apex]
-            for j, (_, st) in enumerate(res.probe_trace):
-                if st == INFECTED:
+            for j, (_, count, _) in enumerate(res.occupancy_trace):
+                if count > 0:
                     sums[j] += w_apex
                     sqsums[j] += w_apex * w_apex
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
-from .weights import WeightDistribution, WeightField, sample_field
+from .weights import WeightDistribution, WeightField, rng_from, sample_field
 
 
 def edge_pass_probability(lam, a, b):
@@ -145,8 +145,7 @@ def sample_path_percolation(fld: WeightField, lam: float, seed) -> PathPercolati
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     box = fld.box
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else np.random.SeedSequence(seed))
+    rng = rng_from(seed)
     V = box.n_vertices
     rho = fld.weights
     t_vertex = rng.standard_exponential(V)
@@ -225,8 +224,7 @@ def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
     nb = lattice.out_neighbor_indices(box)
     axis_src = [np.flatnonzero(nb[:, i] >= 0) for i in range(d)]
     axis_dst = [nb[axis_src[i], i] for i in range(d)]
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else np.random.SeedSequence(seed))
+    rng = rng_from(seed)
     s1 = s2 = s4 = 0.0
     done = 0
     while done < reps:
@@ -372,8 +370,7 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
 
     if walk_samples < 2:
         raise ValueError("walk_samples must be >= 2")
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else np.random.SeedSequence(seed))
+    rng = rng_from(seed)
     steps_a = rng.integers(0, d, size=(walk_samples, n))
     steps_b = rng.integers(0, d, size=(walk_samples, n))
     pos_a = _walk_positions(steps_a, d)

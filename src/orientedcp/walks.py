@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightDistribution
+from .weights import WeightDistribution, rng_from
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def sample_walk_pair(d: int, n_steps: int, seed) -> WalkPair:
         raise ValueError("d must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else np.random.SeedSequence(seed))
+    rng = rng_from(seed)
     steps = rng.integers(0, d, size=(2, n_steps))
     return WalkPair(d=d, n_steps=n_steps, steps_a=steps[0], steps_b=steps[1],
                     seed=seed)
@@ -178,11 +177,6 @@ def collision_integrand(stats: CollisionStats, dist: WeightDistribution,
 # ---------------------------------------------------------------------------
 # batched difference-walk estimators
 
-def _rng_of(seed) -> np.random.Generator:
-    return np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                 else np.random.SeedSequence(seed))
-
-
 def _advance(rng, diff: np.ndarray, l1: np.ndarray, rows: np.ndarray, d: int) -> None:
     """One synchronous step of the difference walk, l1 updated in place.
 
@@ -228,7 +222,7 @@ def meet_probability(d: int, horizon: int, samples: int, seed=None) -> MeetEstim
         raise ValueError("d must be >= 2; in one dimension the walks never separate")
     if horizon < 1 or samples < 1:
         raise ValueError("horizon and samples must be >= 1")
-    rng = _rng_of(seed)
+    rng = rng_from(seed)
     diff = np.zeros((samples, d), dtype=np.int32)
     l1 = np.zeros(samples, dtype=np.int64)
     done = np.zeros(samples, dtype=bool)
@@ -311,7 +305,7 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
         return FunctionalEstimate(d=d, lam=lam, samples=samples, horizon=horizon,
                                   convention=convention, value=None, se=None,
                                   censored_fraction=1.0, m_sums=(), diverging=False)
-    rng = _rng_of(seed)
+    rng = rng_from(seed)
     diff = np.zeros((samples, d), dtype=np.int32)
     l1 = np.zeros(samples, dtype=np.int64)
     rows = np.arange(samples)

@@ -147,11 +147,6 @@ class WeightDistribution:
         return np.asarray(self.values, dtype=np.float64)[idx]
 
 
-def moments(dist: WeightDistribution) -> tuple[float, float, float]:
-    """(mean, second moment, support bound) of the weight law."""
-    return dist.mean, dist.second_moment, dist.bound
-
-
 @dataclass(frozen=True)
 class WeightField:
     """One sampled i.i.d. weight assignment on a box, immutable after creation."""
@@ -190,6 +185,20 @@ def seed_key(seed) -> list:
                     f"got {type(seed).__name__}")
 
 
+def rng_from(seed) -> np.random.Generator:
+    """The one seed-to-Generator step used by every sampler.
+
+    A Generator passes through unchanged; anything else (an int, an int
+    sequence, or a SeedSequence) seeds a fresh default Generator through
+    SeedSequence, so equal seeds give equal streams everywhere.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.default_rng(seed)
+
+
 def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
     """Draw an i.i.d. field; the same seed regenerates it bit-exactly.
 
@@ -197,9 +206,7 @@ def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
     like (master, replicate) lists are welcome.
     """
     key = seed_key(seed)
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else np.random.SeedSequence(seed))
-    w = dist.sample(rng, box.n_vertices)
+    w = dist.sample(rng_from(seed), box.n_vertices)
     stored = key[0] if len(key) == 1 else key
     return WeightField(box=box, weights=w, seed=stored, descriptor=dist.descriptor())
 

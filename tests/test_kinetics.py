@@ -167,6 +167,42 @@ def test_occupancy_monotone_in_time():
         assert occ.values[k + 1] <= occ.values[k] + joint
 
 
+def _forward_occupancy(dist, d, lam, times, reps, seed):
+    """All-infected forward estimator of the apex occupancy, for cross-checks."""
+    ts = sorted(times)
+    box = BoxSpec(d=d, side=math.ceil(ts[-1]) + 3)
+    apex = _idx(box, box.apex)
+    w = np.zeros((reps, len(ts)))
+    for r in range(reps):
+        fld = sample_field(dist, box, [seed, r, 0])
+        res = run(Configuration.all_infected(box), fld, lam, ts[-1],
+                  seed=[seed, r, 1], sample_times=ts, probe=apex)
+        w[r] = [fld.weights[apex] * (st == INFECTED) for _, st in res.probe_trace]
+    return w.mean(axis=0), w.std(axis=0) / math.sqrt(reps)
+
+
+def test_dual_occupancy_matches_forward_estimator():
+    dist = WeightDistribution.two_point(0.5)
+    times, reps = [1.0, 2.0, 3.0], 2000
+    fwd, fwd_se = _forward_occupancy(dist, 2, 0.8, times, reps, seed=17)
+    occ = weighted_origin_occupancy(dist, 2, 0.8, times, reps, seed=18)
+    assert occ.times == tuple(times)
+    for k in range(len(times)):
+        joint = math.hypot(fwd_se[k], occ.standard_errors[k])
+        assert joint > 0.0
+        assert abs(occ.values[k] - fwd[k]) <= 3.0 * joint
+
+
+def test_dual_occupancy_exactly_non_increasing():
+    times = [0.5, 1.0, 1.5, 2.0, 3.0]
+    for dist, lam in ((WeightDistribution.constant(1.0), 0.4),
+                      (WeightDistribution.two_point(0.5), 0.8),
+                      (WeightDistribution.from_table([0.5, 1.5], [0.5, 0.5]), 0.3)):
+        for seed in (1, 2, 3):
+            occ = weighted_origin_occupancy(dist, 2, lam, times, 60, seed=seed)
+            assert all(b <= a for a, b in zip(occ.values, occ.values[1:]))
+
+
 def test_weighted_origin_occupancy_t0_exact():
     dist = WeightDistribution.two_point(0.35)
     occ = weighted_origin_occupancy(dist, 2, 0.5, [0.0], 10, seed=1)

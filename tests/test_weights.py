@@ -7,16 +7,20 @@ from scipy import stats as sps
 from orientedcp import weights
 from orientedcp.lattice import BoxSpec
 from orientedcp.weights import (WeightDistribution, constant_field, load_field,
-                                moments, sample_field, save_field, seed_key)
+                                rng_from, sample_field, save_field, seed_key)
+
+
+def _moments(dist):
+    return dist.mean, dist.second_moment, dist.bound
 
 
 def test_moments_constant():
-    assert moments(WeightDistribution.constant(1.0)) == (1.0, 1.0, 1.0)
+    assert _moments(WeightDistribution.constant(1.0)) == (1.0, 1.0, 1.0)
 
 
 def test_moments_two_point():
     for p in (0.3, 0.7):
-        m1, m2, bound = moments(WeightDistribution.two_point(p))
+        m1, m2, bound = _moments(WeightDistribution.two_point(p))
         assert m1 == pytest.approx(p, abs=1e-15)
         assert m2 == pytest.approx(p, abs=1e-15)
         assert bound == 1.0
@@ -24,7 +28,7 @@ def test_moments_two_point():
 
 def test_moments_table_hand_values():
     dist = WeightDistribution.from_table([0.5, 1.5], [0.5, 0.5])
-    m1, m2, bound = moments(dist)
+    m1, m2, bound = _moments(dist)
     assert m1 == pytest.approx(1.0, abs=1e-15)
     assert m2 == pytest.approx(1.25, abs=1e-15)
     assert bound == 1.5
@@ -140,3 +144,13 @@ def test_seed_key_streams_are_composable():
     a = sample_field(dist, box, [7, 0])
     b = sample_field(dist, box, np.random.SeedSequence([7, 0]))
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_rng_from_matches_seed_sequence_streams():
+    for seed in (5, [7, 0], np.random.SeedSequence([4, 5])):
+        ss = seed if isinstance(seed, np.random.SeedSequence) \
+            else np.random.SeedSequence(seed)
+        want = np.random.default_rng(ss).random(8)
+        assert np.array_equal(rng_from(seed).random(8), want)
+    gen = np.random.default_rng(3)
+    assert rng_from(gen) is gen
