@@ -17,8 +17,7 @@ dist = WeightDistribution.two_point(0.7)
 
 rep = build(box, sample_field(dist, box, seed=1), lam=0.8, horizon=2.5, seed=2)
 print(f"one realization: {rep.n_events()} events "
-      f"({sum(len(m) for m in rep.marks)} marks, "
-      f"{sum(len(a) for a in rep.arrows.values())} arrows)")
+      f"({int((rep.kinds == 0).sum())} marks, {int((rep.kinds == 1).sum())} arrows)")
 fwd, rev = duality_check(rep)
 print(f"forward reading says apex infected: {fwd}; backward reading: {rev}")
 

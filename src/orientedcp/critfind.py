@@ -23,7 +23,7 @@ from . import harris, kinetics
 from .errors import ScanError
 from .kinetics import Configuration, run, weighted_origin_occupancy
 from .lattice import BoxSpec
-from .weights import WeightDistribution, sample_field, seed_key
+from .weights import WeightDistribution, chunked_sum, sample_field, seed_key
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,8 @@ def survival_probability(dist: WeightDistribution, d: int, side: int, lam: float
         raise ValueError("lam must be positive")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    key = seed_key(seed)
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        hits = _survival_chunk((dist.descriptor(), d, side, lam, horizon,
-                                key, 0, reps))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        edges = np.linspace(0, reps, jobs + 1).astype(int)
-        work = [(dist.descriptor(), d, side, lam, horizon, key,
-                 int(edges[i]), int(edges[i + 1])) for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = sum(pool.map(_survival_chunk, work))
+    hits = chunked_sum(_survival_chunk, (dist.descriptor(), d, side, lam, horizon,
+                                         seed_key(seed)), reps, jobs)
     p = hits / reps
     return SurvivalEstimate(lam=float(lam), d=d, side=side, horizon=float(horizon),
                             reps=reps, p_hat=p, se=math.sqrt(p * (1.0 - p) / reps))

@@ -2,13 +2,16 @@
 
 A GraphicalRep fixes, once and for all, rate-1 recovery marks on every vertex
 timeline and Poisson arrow streams on every directed edge x -> x + e_i with
-intensity lam * rho(x) * rho(y).  Reading the arrows forward in time yields
-the forward process; reading the same structure with arrows reversed, or in
-reversed time, yields the reversed process.  Because both readings are
-reachability statements about one event diagram, the forward indicator
-"apex infected at the horizon from the all-infected start" and the reversed
-indicator "descendants of the apex still alive at time 0" agree for every
-single realization, not just in distribution.
+intensity lam * rho(x) * rho(y).  It stores them as one event table, the
+four parallel columns (times, kinds, a, b) sorted by (time, kind, a, b):
+kind 0 is a recovery mark at vertex a (b = -1), kind 1 an arrow a -> b.
+Reading the arrows forward in time yields the forward process; reading the
+same structure with arrows reversed, or in reversed time, yields the
+reversed process.  Because both readings are reachability statements about
+one event diagram, the forward indicator "apex infected at the horizon from
+the all-infected start" and the reversed indicator "descendants of the apex
+still alive at time 0" agree for every single realization, not just in
+distribution.
 """
 
 from __future__ import annotations
@@ -16,70 +19,58 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby
 
 import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
-from .weights import WeightDistribution, WeightField, rng_from, sample_field, seed_key
+from .weights import (WeightDistribution, WeightField, chunked_sum, rng_from,
+                      sample_field, seed_key)
 
 _MARK, _ARROW = 0, 1
 
 
 @dataclass(frozen=True)
 class GraphicalRep:
-    """Immutable marks-and-arrows structure on a box over [0, horizon]."""
+    """Immutable event table of marks and arrows on a box over [0, horizon].
+
+    ``times`` (float64), ``kinds`` (int8), ``a`` and ``b`` (int32) are
+    parallel columns, one row per event, sorted by (time, kind, a, b).
+    """
 
     box: BoxSpec
     field: WeightField
     lam: float
     horizon: float
     seed: object
-    marks: tuple          # per-vertex sorted arrays of recovery times
-    arrows: dict          # (src_idx, dst_idx) -> sorted array of arrow times
+    times: np.ndarray
+    kinds: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
-    def event_arrays(self):
-        """Chronologically merged events as (times, kinds, a, b) lists.
+    @classmethod
+    def from_columns(cls, box: BoxSpec, fld: WeightField, lam: float,
+                     horizon: float, seed, times, kinds, a, b) -> "GraphicalRep":
+        """Sort unordered event columns into a rep."""
+        order = np.lexsort((b, a, kinds, times))
+        return cls(box=box, field=fld, lam=lam, horizon=float(horizon), seed=seed,
+                   times=np.asarray(times, np.float64)[order],
+                   kinds=np.asarray(kinds, np.int8)[order],
+                   a=np.asarray(a, np.int32)[order], b=np.asarray(b, np.int32)[order])
 
-        kind 0 is a recovery mark at vertex a; kind 1 an arrow a -> b.
-        Built once and cached; the rep itself is never mutated.
+    def event_arrays(self):
+        """The table as (times, kinds, a, b) lists, which the replays index
+        faster than arrays.  Built once and cached; the rep is never mutated.
         """
         if "events" not in self._cache:
-            ts, kinds, aa, bb = [], [], [], []
-            for x, tlist in enumerate(self.marks):
-                ts.extend(tlist)
-                kinds.extend([_MARK] * len(tlist))
-                aa.extend([x] * len(tlist))
-                bb.extend([-1] * len(tlist))
-            for (x, y), tlist in self.arrows.items():
-                ts.extend(tlist)
-                kinds.extend([_ARROW] * len(tlist))
-                aa.extend([x] * len(tlist))
-                bb.extend([y] * len(tlist))
-            order = np.lexsort((bb, aa, kinds, ts))
-            t_arr = np.asarray(ts, dtype=np.float64)[order]
-            self._cache["events"] = (
-                t_arr.tolist(),
-                np.asarray(kinds, dtype=np.int8)[order].tolist(),
-                np.asarray(aa, dtype=np.int32)[order].tolist(),
-                np.asarray(bb, dtype=np.int32)[order].tolist(),
-            )
+            self._cache["events"] = (self.times.tolist(), self.kinds.tolist(),
+                                     self.a.tolist(), self.b.tolist())
         return self._cache["events"]
 
     def n_events(self) -> int:
-        return len(self.event_arrays()[0])
-
-
-def _sorted_stream(flat: np.ndarray, counts: np.ndarray, horizon: float):
-    """Cut one flat uniform draw into per-stream sorted time arrays."""
-    out = []
-    pos = 0
-    for c in counts:
-        seg = np.sort(flat[pos:pos + c]) * horizon
-        out.append(seg)
-        pos += c
-    return out
+        return len(self.times)
 
 
 def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> GraphicalRep:
@@ -98,21 +89,22 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
     rho = fld.weights
 
     mark_counts = rng.poisson(horizon, V)
-    mark_flat = rng.random(int(mark_counts.sum()))
-    marks = _sorted_stream(mark_flat, mark_counts, horizon)
+    mark_times = rng.random(int(mark_counts.sum()))
 
     src, dst, _ = lattice.edge_table(box)
     rates = lam * rho[src] * rho[dst]
     live = np.flatnonzero(rates > 0)
     arrow_counts = rng.poisson(rates[live] * horizon)
-    arrow_flat = rng.random(int(arrow_counts.sum()))
-    streams = _sorted_stream(arrow_flat, arrow_counts, horizon)
-    arrows = {}
-    for k, e in enumerate(live):
-        if len(streams[k]):
-            arrows[(int(src[e]), int(dst[e]))] = streams[k]
-    return GraphicalRep(box=box, field=fld, lam=lam, horizon=float(horizon),
-                        seed=seed_val, marks=tuple(marks), arrows=arrows)
+    arrow_times = rng.random(int(arrow_counts.sum()))
+
+    n_marks = mark_times.size
+    return GraphicalRep.from_columns(
+        box, fld, lam, horizon, seed_val,
+        times=np.concatenate([mark_times, arrow_times]) * horizon,
+        kinds=np.repeat([_MARK, _ARROW], [n_marks, arrow_times.size]),
+        a=np.concatenate([np.repeat(np.arange(V), mark_counts),
+                          np.repeat(src[live], arrow_counts)]),
+        b=np.concatenate([np.full(n_marks, -1), np.repeat(dst[live], arrow_counts)]))
 
 
 def _resolve_set(box: BoxSpec, vertices) -> np.ndarray:
@@ -330,20 +322,8 @@ def _check_chunk(args) -> int:
 
 def _sweep_check(what: str, dist: WeightDistribution, box: BoxSpec, lam: float,
                  horizon: float, reps: int, seed, jobs: int) -> CheckReport:
-    # per-rep seeds are derived from the rep index alone, so the chunking
-    # (and hence the jobs count) cannot change the tally
-    key = seed_key(seed)
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        bad = _check_chunk((what, dist.descriptor(), box.d, box.side,
-                            lam, horizon, key, 0, reps))
-        return CheckReport(reps=reps, failures=bad)
-    from concurrent.futures import ProcessPoolExecutor
-    edges = np.linspace(0, reps, jobs + 1).astype(int)
-    work = [(what, dist.descriptor(), box.d, box.side, lam, horizon,
-             key, int(edges[i]), int(edges[i + 1])) for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        bad = sum(pool.map(_check_chunk, work))
+    bad = chunked_sum(_check_chunk, (what, dist.descriptor(), box.d, box.side,
+                                     lam, horizon, seed_key(seed)), reps, jobs)
     return CheckReport(reps=reps, failures=bad)
 
 
@@ -359,68 +339,72 @@ def coupling_sweep(dist: WeightDistribution, box: BoxSpec, lam: float,
     return _sweep_check("coupling", dist, box, lam, horizon, reps, seed, jobs)
 
 
+def _stream_order(rep: GraphicalRep) -> np.ndarray:
+    """Row indices by (kind, a, b, time): marks by vertex, then arrows by edge."""
+    # lexsort is stable, so each stream keeps the table's time order
+    return np.lexsort((rep.b, rep.a, rep.kinds))
+
+
 def thin_arrows(rep: GraphicalRep, fractions, seed) -> list[GraphicalRep]:
     """Couple lower-rate structures by keeping each arrow with probability f.
 
-    One uniform per arrow decides its fate for every requested fraction, so
-    the returned reps are nested: every arrow kept at a smaller fraction is
-    kept at any larger one.  Marks are shared untouched.  This realises the
-    standard monotone coupling in the infection rate.
+    One uniform per arrow, drawn in (tail, head, time) order, decides its
+    fate for every requested fraction, so the returned reps are nested:
+    every arrow kept at a smaller fraction is kept at any larger one.
+    Marks are shared untouched.  This realises the standard monotone
+    coupling in the infection rate.
     """
     fr = [float(f) for f in fractions]
     if any(not 0.0 <= f <= 1.0 for f in fr):
         raise ValueError(f"fractions must lie in [0, 1]: {fr}")
     rng = rng_from(seed)
-    keys = sorted(rep.arrows.keys())
-    unis = {k: rng.random(len(rep.arrows[k])) for k in keys}
+    rows = _stream_order(rep)
+    rows = rows[rep.kinds[rows] == _ARROW]
+    u = np.full(rep.n_events(), -1.0)   # marks sit below every fraction
+    u[rows] = rng.random(rows.size)
     out = []
     for f in fr:
-        arrows = {}
-        for k in keys:
-            kept = rep.arrows[k][unis[k] < f]
-            if len(kept):
-                arrows[k] = kept
+        keep = u < f
         out.append(GraphicalRep(box=rep.box, field=rep.field, lam=rep.lam * f,
                                 horizon=rep.horizon, seed=rep.seed,
-                                marks=rep.marks, arrows=arrows))
+                                times=rep.times[keep], kinds=rep.kinds[keep],
+                                a=rep.a[keep], b=rep.b[keep]))
     return out
 
 
 def dump_jsonl(rep: GraphicalRep, path) -> None:
     """One JSON record per stream: marks keyed by site, arrows by edge."""
     box = rep.box
+    times, kinds, a, b = rep.event_arrays()
+    streams = groupby(_stream_order(rep).tolist(), lambda i: (kinds[i], a[i], b[i]))
     with open(str(path), "w") as fh:
-        for x, tlist in enumerate(rep.marks):
-            if len(tlist) == 0:
-                continue
-            rec = {"kind": "mark", "site": list(lattice.index_vertex(box, x)),
-                   "times": [float(t) for t in tlist]}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        for (x, y) in sorted(rep.arrows.keys()):
-            rec = {"kind": "arrow",
-                   "edge": [list(lattice.index_vertex(box, x)),
-                            list(lattice.index_vertex(box, y))],
-                   "times": [float(t) for t in rep.arrows[(x, y)]]}
+        for (kind, x, y), rows in streams:
+            if kind == _MARK:
+                rec = {"kind": "mark", "site": list(lattice.index_vertex(box, x))}
+            else:
+                rec = {"kind": "arrow",
+                       "edge": [list(lattice.index_vertex(box, x)),
+                                list(lattice.index_vertex(box, y))]}
+            rec["times"] = [times[i] for i in rows]
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def load_jsonl(path, box: BoxSpec, fld: WeightField, lam: float,
                horizon: float) -> GraphicalRep:
     """Rebuild a rep from a stream dump; context not stored in the dump."""
-    marks = [np.empty(0)] * box.n_vertices
-    arrows = {}
+    rows = []
     with open(str(path)) as fh:
         for line in fh:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            times = np.asarray(rec["times"], dtype=np.float64)
             if rec["kind"] == "mark":
-                marks[lattice.vertex_index(box, tuple(rec["site"]))] = times
+                kind, x, y = _MARK, lattice.vertex_index(box, tuple(rec["site"])), -1
             elif rec["kind"] == "arrow":
-                x, y = (tuple(v) for v in rec["edge"])
-                arrows[(lattice.vertex_index(box, x), lattice.vertex_index(box, y))] = times
+                kind = _ARROW
+                x, y = (lattice.vertex_index(box, tuple(v)) for v in rec["edge"])
             else:
                 raise ValueError(f"unknown stream kind {rec['kind']!r}")
-    return GraphicalRep(box=box, field=fld, lam=lam, horizon=float(horizon),
-                        seed=None, marks=tuple(marks), arrows=arrows)
+            rows += [(t, kind, x, y) for t in rec["times"]]
+    cols = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    return GraphicalRep.from_columns(box, fld, lam, horizon, None, *cols)

@@ -62,8 +62,8 @@ class Configuration:
         st = np.asarray(self.states, dtype=np.int8)
         if st.shape != (self.box.n_vertices,):
             raise ValueError(f"states shape {st.shape} != ({self.box.n_vertices},)")
-        bad = (st == REMOVED) if self.mode != ZETA else np.zeros_like(st, dtype=bool)
-        if bad.any() or not np.isin(st, (-1, 0, 1)).all():
+        lowest = REMOVED if self.mode == ZETA else HEALTHY
+        if st.min() < lowest or st.max() > INFECTED:
             raise ValueError("states must lie in {0,1} (eta/eta_hat) or {-1,0,1} (zeta)")
         self.states = st
 
@@ -118,19 +118,23 @@ def step_rates(cfg: Configuration, fld: WeightField, lam: float) -> np.ndarray:
 
 
 class _ExpPool:
-    """Batched standard-exponential draws; order of consumption is fixed."""
+    """Batched standard-exponential draws; order of consumption is fixed.
+
+    Batches grow from 64 to 8192 draws, so short runs draw little up front.
+    """
 
     __slots__ = ("rng", "buf", "i", "n")
 
-    def __init__(self, rng: np.random.Generator, n: int = 8192):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.n = n
-        self.buf = rng.standard_exponential(n)
+        self.n = 64
+        self.buf = rng.standard_exponential(self.n)
         self.i = 0
 
     def draw(self) -> float:
         i = self.i
         if i == self.n:
+            self.n = min(2 * self.n, 8192)
             self.buf = self.rng.standard_exponential(self.n)
             i = 0
         self.i = i + 1

@@ -185,6 +185,22 @@ def seed_key(seed) -> list:
                     f"got {type(seed).__name__}")
 
 
+def chunked_sum(fn, head: tuple, reps: int, jobs: int):
+    """Sum of ``fn(head + (r0, r1))`` over ``jobs`` chunks of range(reps).
+
+    One job runs in-process; more use a process pool.  Callers seed each
+    replicate from its index alone, so the sum does not depend on ``jobs``.
+    """
+    jobs = max(1, int(jobs))
+    if jobs == 1:
+        return fn(head + (0, reps))
+    from concurrent.futures import ProcessPoolExecutor
+    edges = np.linspace(0, reps, jobs + 1).astype(int)
+    work = [head + (int(edges[i]), int(edges[i + 1])) for i in range(jobs)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return sum(pool.map(fn, work))
+
+
 def rng_from(seed) -> np.random.Generator:
     """The one seed-to-Generator step used by every sampler.
 

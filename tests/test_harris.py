@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import lru_cache
 
@@ -15,20 +16,37 @@ from orientedcp.lattice import BoxSpec
 from orientedcp.weights import WeightDistribution, constant_field, sample_field
 
 
+MARK, ARROW = 0, 1
+COLUMNS = ("times", "kinds", "a", "b")
+
+
 def _rep(box, marks_map=None, arrows_map=None, horizon=10.0):
     """Hand-built rep: marks_map {vertex_idx: times}, arrows {(src,dst): times}."""
-    marks = tuple(np.array(sorted((marks_map or {}).get(i, ())), dtype=float)
-                  for i in range(box.n_vertices))
-    arrows = {e: np.array(sorted(ts), dtype=float)
-              for e, ts in (arrows_map or {}).items() if ts}
-    return GraphicalRep(box=box, field=constant_field(1.0, box), lam=1.0,
-                        horizon=horizon, seed=None, marks=marks, arrows=arrows)
+    rows = [(t, MARK, x, -1) for x, ts in (marks_map or {}).items() for t in ts]
+    rows += [(t, ARROW, x, y) for (x, y), ts in (arrows_map or {}).items() for t in ts]
+    times, kinds, a, b = zip(*rows) if rows else ((), (), (), ())
+    return GraphicalRep.from_columns(box, constant_field(1.0, box), 1.0, horizon,
+                                     None, times, kinds, a, b)
+
+
+def _streams(rep, kind):
+    """Per-stream time lists grouped from the event table.
+
+    Marks come back as {vertex: times}, arrows as {(src, dst): times}.
+    """
+    out = {}
+    for t, k, x, y in zip(rep.times.tolist(), rep.kinds.tolist(),
+                          rep.a.tolist(), rep.b.tolist()):
+        if k == kind:
+            out.setdefault(x if kind == MARK else (x, y), []).append(t)
+    return out
 
 
 def test_build_lambda_zero_no_arrows():
     box = BoxSpec(d=2, side=4)
     rep = build(box, constant_field(1.0, box), 0.0, 5.0, seed=1)
-    assert rep.arrows == {}
+    assert _streams(rep, ARROW) == {}
+    assert rep.n_events() > 0 and (rep.b == -1).all()
 
 
 def test_build_determinism():
@@ -36,9 +54,8 @@ def test_build_determinism():
     fld = sample_field(WeightDistribution.two_point(0.6), box, 5)
     a = build(box, fld, 0.7, 4.0, seed=10)
     b = build(box, fld, 0.7, 4.0, seed=10)
-    assert all(np.array_equal(x, y) for x, y in zip(a.marks, b.marks))
-    assert a.arrows.keys() == b.arrows.keys()
-    assert all(np.array_equal(a.arrows[k], b.arrows[k]) for k in a.arrows)
+    assert all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
+    assert a.event_arrays() == b.event_arrays()
 
 
 def test_build_poisson_means():
@@ -47,10 +64,10 @@ def test_build_poisson_means():
     horizon = 10.0
     rep = build(box, constant_field(1.0, box), 1.0, horizon, seed=3)
     n_edges = 2 * 70 * 71
-    arrow_total = sum(len(v) for v in rep.arrows.values())
+    arrow_total = int((rep.kinds == ARROW).sum())
     per_edge = arrow_total / n_edges
     assert abs(per_edge - horizon) <= 3.0 * math.sqrt(horizon / n_edges)
-    mark_total = sum(len(m) for m in rep.marks)
+    mark_total = int((rep.kinds == MARK).sum())
     mean = box.n_vertices * horizon
     assert abs(mark_total - mean) <= 3.0 * math.sqrt(mean)
 
@@ -60,7 +77,9 @@ def test_zero_rate_edges_have_no_streams():
     fld = sample_field(WeightDistribution.two_point(0.5), box, 8)
     rep = build(box, fld, 1.0, 6.0, seed=2)
     w = fld.weights
-    for (x, y) in rep.arrows:
+    arrows = _streams(rep, ARROW)
+    assert arrows
+    for (x, y) in arrows:
         assert w[x] > 0 and w[y] > 0
 
 
@@ -102,17 +121,17 @@ def _oracle_infected(rep, site_idx, t):
     Independent of the scan implementations: searches the event DAG from the
     query point down to time 0.
     """
-    marks = rep.marks
+    marks = _streams(rep, MARK)
     inbound = {}
-    for (u, v), ts in rep.arrows.items():
-        inbound.setdefault(v, []).extend((float(s), u) for s in ts)
+    for (u, v), ts in _streams(rep, ARROW).items():
+        inbound.setdefault(v, []).extend((s, u) for s in ts)
 
     @lru_cache(maxsize=None)
     def hot(v, t):
         last_mark = None
-        for m in marks[v]:
+        for m in marks.get(v, ()):
             if m <= t:
-                last_mark = float(m)
+                last_mark = m
             else:
                 break
         if last_mark is None:
@@ -199,14 +218,16 @@ def test_thin_arrows_nested_and_extremes():
     box = BoxSpec(d=2, side=5)
     rep = build(box, constant_field(1.0, box), 1.0, 5.0, seed=6)
     zero, part, full = thin_arrows(rep, [0.0, 0.5, 1.0], seed=7)
-    assert zero.arrows == {}
-    assert full.arrows.keys() == rep.arrows.keys()
-    assert all(np.array_equal(full.arrows[k], rep.arrows[k]) for k in rep.arrows)
+    arrows = _streams(rep, ARROW)
+    assert _streams(zero, ARROW) == {}
+    assert _streams(full, ARROW) == arrows
+    for th in (zero, part, full):
+        assert _streams(th, MARK) == _streams(rep, MARK)
     assert part.lam == pytest.approx(0.5)
-    for k, ts in part.arrows.items():
-        assert set(ts) <= set(rep.arrows[k])
-    kept = sum(len(v) for v in part.arrows.values())
-    total = sum(len(v) for v in rep.arrows.values())
+    for k, ts in _streams(part, ARROW).items():
+        assert set(ts) <= set(arrows[k])
+    kept = int((part.kinds == ARROW).sum())
+    total = int((rep.kinds == ARROW).sum())
     assert abs(kept / total - 0.5) <= 3.0 * math.sqrt(0.25 / total)
 
 
@@ -227,8 +248,30 @@ def test_dump_load_roundtrip(tmp_path):
     path = tmp_path / "rep.jsonl"
     dump_jsonl(rep, path)
     back = load_jsonl(path, box, fld, 0.8, 3.0)
-    assert all(np.allclose(a, b) for a, b in zip(rep.marks, back.marks))
-    assert rep.arrows.keys() == back.arrows.keys()
-    assert all(np.allclose(rep.arrows[k], back.arrows[k]) for k in rep.arrows)
+    assert all(np.array_equal(getattr(rep, c), getattr(back, c)) for c in COLUMNS)
     assert percolate_forward(rep, "all") == percolate_forward(back, "all")
     assert duality_check(rep) == duality_check(back)
+
+
+def _digest(rep):
+    ev = rep.event_arrays()
+    return len(ev[0]), hashlib.sha256(repr(ev).encode()).hexdigest()
+
+
+def test_build_and_thin_golden_event_tables():
+    # frozen digests of the merged event lists; any change to how build or
+    # thin_arrows consume the random stream or order the table moves them
+    box = BoxSpec(2, 6)
+    fld = sample_field(WeightDistribution.two_point(0.7), box, 5)
+    rep = build(box, fld, 0.8, 3.0, seed=6)
+    lo, hi = thin_arrows(rep, [0.3, 0.9], seed=7)
+    assert _digest(rep) == (
+        268, "c94d549a0acc26bb8ceba1ea575f676b14ed7f3a56c2cbb2ff90a133c7cf080b")
+    assert _digest(lo) == (
+        196, "dc7c3525dd5ca155b55453bb6a9b64a32a49fd861117f45555762c574962df56")
+    assert _digest(hi) == (
+        259, "f9f6b0689815fa420c329227bea0b290b11e45141661e61a9fe1d859b0137477")
+    for r in (rep, lo, hi):
+        assert np.array_equal(np.lexsort((r.b, r.a, r.kinds, r.times)),
+                              np.arange(r.n_events()))
+        assert np.array_equal(r.b == -1, r.kinds == MARK)

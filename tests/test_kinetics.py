@@ -61,8 +61,14 @@ def test_step_rates_zero_weight_never_infected():
 
 def test_removed_state_rejected_outside_zeta():
     box = BoxSpec(d=1, side=1)
-    with pytest.raises(ValueError):
-        Configuration(box, np.array([-1, 1], dtype=np.int8), mode="eta")
+    for mode in ("eta", "eta_hat"):
+        with pytest.raises(ValueError):
+            Configuration(box, np.array([-1, 1], dtype=np.int8), mode=mode)
+    assert Configuration(box, np.array([-1, 1], dtype=np.int8), mode="zeta").states[0] == -1
+    for mode in ("eta", "eta_hat", "zeta"):
+        for states in ([2, 0], [1, 2]):
+            with pytest.raises(ValueError):
+                Configuration(box, np.array(states, dtype=np.int8), mode=mode)
 
 
 def test_all_healthy_dies_instantly():

@@ -1,0 +1,62 @@
+"""The package names that the benchmark's layer tracer wraps must exist.
+
+``perfbench/layers.py`` looks up functions and methods of the package by
+name; a rename in the package would crash every traced benchmark run, so
+these tests read the tracer's tables (without changing them) and check
+that they still resolve, and that tracing can be installed and removed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from orientedcp import harris
+from orientedcp.lattice import BoxSpec
+from orientedcp.weights import constant_field
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings(layers):
+    """Every module attribute and traced class attribute, by identity."""
+    out = {(mod.__name__, k): v for mod in layers.MODULES for k, v in vars(mod).items()}
+    for cls, attr, _ in layers.METHODS:
+        out[(cls.__qualname__, attr)] = cls.__dict__[attr]
+    return out
+
+
+def test_traced_functions_resolve(layers):
+    for mod, names in layers.FUNCTIONS.items():
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{mod.__name__}.{name}"
+
+
+def test_traced_methods_are_own_class_attributes(layers):
+    for cls, attr, _ in layers.METHODS:
+        assert attr in cls.__dict__, f"{cls.__qualname__}.{attr}"
+
+
+def test_install_then_uninstall_restores_every_original(layers):
+    before = _bindings(layers)
+    tracer = layers.Tracer()
+    tracer.install(0)
+    try:
+        assert harris.build is not before[("orientedcp.harris", "build")]
+        box = BoxSpec(2, 4)
+        rep = harris.build(box, constant_field(1.0, box), 0.8, 2.0, seed=1)
+        rep.event_arrays()
+        assert tracer.counts["harris.events"] == rep.n_events() > 0
+    finally:
+        tracer.uninstall()
+    after = _bindings(layers)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
