@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from orientedcp import kinetics, lattice
-from orientedcp.kinetics import (ETA_HAT, INFECTED, REMOVED, ZETA,
+from orientedcp.kinetics import (ETA, ETA_HAT, INFECTED, REMOVED, ZETA,
                                  Configuration, decay_envelope, run,
                                  step_rates, weighted_origin_occupancy)
 from orientedcp.lattice import BoxSpec
@@ -137,6 +138,41 @@ def test_run_determinism_bit_exact():
     assert a.extinction_time == b.extinction_time
     assert a.occupancy_trace == b.occupancy_trace
     assert a.probe_trace == b.probe_trace
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_run_golden_digests():
+    # Fixed outputs of the engine: any change in how it consumes random
+    # draws, breaks heap ties or records samples moves these digests.
+    rows = []
+    for box in (BoxSpec(2, 6), BoxSpec(3, 4)):
+        for mode in (ETA, ETA_HAT, ZETA):
+            for start in (Configuration.single_seed, Configuration.all_infected):
+                for s in range(3):
+                    fld = sample_field(WeightDistribution.two_point(0.5), box, [s, 1])
+                    res = run(start(box, mode=mode), fld, 0.9, 6.0, seed=[s, 9],
+                              sample_times=[0.5, 1.0, 2.0, 7.5],
+                              probe=box.n_vertices - 1)
+                    rows.append((res.survived, res.extinction_time,
+                                 res.occupancy_trace, res.probe_trace))
+    assert len(rows) == 36
+    assert _digest(rows) == \
+        "1b649a1cdf0b6fc932cca7fc57fd450d7b7834e74ab37a47589f4cfe0df70a11"
+
+    # long supercritical runs that cross several batches of draws
+    box = BoxSpec(3, 8)
+    rows = []
+    for r in range(20):
+        fld = sample_field(WeightDistribution.constant(1.0), box, [5, r, 0])
+        res = run(Configuration.single_seed(box), fld, 2 / 3, 16.0, seed=[5, r, 1],
+                  sample_times=[4.0, 8.0, 15.0])
+        rows.append((res.survived, res.extinction_time, res.occupancy_trace))
+    assert sum(row[0] for row in rows) == 9
+    assert _digest(rows) == \
+        "0df250edf587300a98cc885aad2fa98f828ab895e740d97dda14bcd43f648f0b"
 
 
 def test_no_infection_without_in_edges():
