@@ -42,10 +42,11 @@ def _survival_chunk(args) -> int:
     desc, d, side, lam, horizon, key, r0, r1 = args
     dist = WeightDistribution.from_descriptor(desc)
     box = BoxSpec(d=d, side=side)
+    start = Configuration.single_seed(box)  # run never modifies it
     hits = 0
     for r in range(r0, r1):
         fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 0]))
-        res = run(Configuration.single_seed(box), fld, lam, horizon,
+        res = run(start, fld, lam, horizon,
                   seed=np.random.SeedSequence(key + [r, 1]))
         hits += res.survived
     return hits

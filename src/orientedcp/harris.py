@@ -31,12 +31,13 @@ from .weights import (WeightDistribution, WeightField, chunked_sum, rng_from,
 _MARK, _ARROW = 0, 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphicalRep:
     """Immutable event table of marks and arrows on a box over [0, horizon].
 
     ``times`` (float64), ``kinds`` (int8), ``a`` and ``b`` (int32) are
     parallel columns, one row per event, sorted by (time, kind, a, b).
+    Equality and hashing are by identity, since the columns are arrays.
     """
 
     box: BoxSpec

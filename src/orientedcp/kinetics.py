@@ -16,6 +16,16 @@ rate changes.  By memorylessness this reproduces the jump chain exactly.
 Given equal seeds and equal rate values it consumes randomness identically,
 which the scale-equivalence tests rely on.
 
+The event loop keeps its state in containers that Python indexes without
+boxing numpy scalars: vertex states in a ``bytearray`` (a removed vertex is
+byte 255; an int8 view of the same memory reads -1 and serves the O(V)
+sample masks), infection pressure and the ``lam * rho`` and ``rho`` columns
+in ``array('d')``, clock versions in a list.  Exponential draws come in
+batches converted to lists, 64 draws at first and doubling up to 8192;
+before each event the unread draws are topped up to at least d + 1, the
+most one event consumes.  The draws are read in stream order, so the
+batch sizes do not change any result.
+
 The decay profile f(t) = E[rho(apex) * 1{apex infected at t}] from the
 all-infected start is estimated through duality: in the graphical
 construction on the box, realization by realization, the apex is infected
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -45,6 +56,7 @@ ZETA = "zeta"
 _MODES = (ETA, ETA_HAT, ZETA)
 
 HEALTHY, INFECTED, REMOVED = 0, 1, -1
+_REMOVED_BYTE = REMOVED & 0xFF  # REMOVED as an unsigned byte
 
 
 @dataclass
@@ -117,28 +129,22 @@ def step_rates(cfg: Configuration, fld: WeightField, lam: float) -> np.ndarray:
     return rates
 
 
-class _ExpPool:
-    """Batched standard-exponential draws; order of consumption is fixed.
+_FIRST_BATCH, _BATCH_CAP = 64, 8192
 
-    Batches grow from 64 to 8192 draws, so short runs draw little up front.
+
+def _top_up(rng: np.random.Generator, buf: list, batch: int,
+            need: int) -> tuple[list, int]:
+    """Append exponential batches to the unread draws ``buf``.
+
+    Batches double from ``_FIRST_BATCH`` up to ``_BATCH_CAP`` until ``buf``
+    holds at least ``need`` draws.  A Generator's stream does not depend on
+    how it is cut into batches, so the draws read in order are the same.
+    Returns the buffer and the next batch size.
     """
-
-    __slots__ = ("rng", "buf", "i", "n")
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.n = 64
-        self.buf = rng.standard_exponential(self.n)
-        self.i = 0
-
-    def draw(self) -> float:
-        i = self.i
-        if i == self.n:
-            self.n = min(2 * self.n, 8192)
-            self.buf = self.rng.standard_exponential(self.n)
-            i = 0
-        self.i = i + 1
-        return self.buf[i]
+    while len(buf) < need:
+        buf += rng.standard_exponential(batch).tolist()
+        batch = min(2 * batch, _BATCH_CAP)
+    return buf, batch
 
 
 def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
@@ -148,7 +154,7 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     ``sample_times`` requests (t, count, weighted mass) trace entries;
     ``probe`` additionally records one vertex's state at those times.
     Identical (cfg, fld, lam, horizon, seed) reproduce the result exactly.
-    Heap ties break on the vertex index.
+    Heap ties break on the vertex index.  ``cfg`` is not modified.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -160,46 +166,52 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     box = cfg.box
     V = box.n_vertices
     rho = fld.weights
-    lam_rho = lam * rho
+    rho_c = array("d", rho.tobytes())
+    lam_rho = array("d", (lam * rho).tobytes())
     # "dst" are the vertices whose infection rate reads this vertex's state.
     if cfg.mode == ETA_HAT:
         dst = lattice.in_neighbor_lists(box)
     else:
         dst = lattice.out_neighbor_lists(box)
+    # one event resamples at most its vertex and that vertex's dst
+    per_event = box.d + 1
+    after_recovery = _REMOVED_BYTE if cfg.mode == ZETA else HEALTHY
 
-    states = cfg.states.copy()
-    pressure = np.zeros(V)
-    infected = np.flatnonzero(states == INFECTED)
+    # A removed vertex is byte 255 here and reads -1 through the int8 view.
+    states = bytearray(cfg.states.tobytes())
+    view = np.frombuffer(states, dtype=np.int8)
+    pressure = array("d", bytes(8 * V))
+    infected = np.flatnonzero(cfg.states == INFECTED).tolist()
     for x in infected:
-        rx = rho[x]
+        rx = rho_c[x]
         for z in dst[x]:
             pressure[z] += rx
-    n_inf = int(infected.size)
+    n_inf = len(infected)
 
-    pool = _ExpPool(rng_from(seed))
-    version = np.zeros(V, dtype=np.int64)
+    rng = rng_from(seed)
+    version = [0] * V
     heap: list = []
-    push = heapq.heappush
-
-    def schedule(x: int, now: float) -> None:
-        s = states[x]
-        if s == INFECTED:
-            r = 1.0
-        elif s == HEALTHY:
-            r = lam_rho[x] * pressure[x]
-        else:
-            version[x] += 1
-            return
-        version[x] += 1
-        if r > 0.0:
-            push(heap, (now + pool.draw() / r, x, version[x]))
+    push, pop = heapq.heappush, heapq.heappop
 
     # Only vertices with a nonzero rate need an initial clock.
-    touched = set(int(x) for x in infected)
+    touched = set(infected)
     for x in infected:
         touched.update(dst[x])
+    buf, batch = _top_up(rng, [], _FIRST_BATCH, len(touched))
+    i = 0
+    now = cfg.clock
     for x in sorted(touched):
-        schedule(x, cfg.clock)
+        s = states[x]
+        version[x] = 1
+        if s == INFECTED:
+            push(heap, (now + buf[i], x, 1))
+            i += 1
+        elif s == HEALTHY:
+            r = lam_rho[x] * pressure[x]
+            if r > 0.0:
+                push(heap, (now + buf[i] / r, x, 1))
+                i += 1
+    n = len(buf)
 
     samples = sorted(float(t) for t in sample_times)
     if samples and samples[0] < cfg.clock:
@@ -208,56 +220,73 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     trace: list = []
     probe_trace: list | None = [] if probe is not None else None
 
-    def flush(up_to: float) -> None:
-        # record every pending sample time strictly before up_to
+    def flush(up_to: float) -> float:
+        # record every pending sample time strictly before up_to and
+        # return the next pending one
         nonlocal sptr
         while sptr < len(samples) and samples[sptr] < up_to and samples[sptr] <= horizon:
-            mask = states == INFECTED
+            mask = view == INFECTED
             trace.append((samples[sptr], int(mask.sum()), float(rho[mask].sum())))
             if probe_trace is not None:
-                probe_trace.append((samples[sptr], int(states[probe])))
+                probe_trace.append((samples[sptr], int(view[probe])))
             sptr += 1
+        return samples[sptr] if sptr < len(samples) else math.inf
 
+    next_sample = samples[0] if samples else math.inf
     extinction_time = cfg.clock if n_inf == 0 else math.inf
 
     while heap and n_inf > 0:
-        te, x, ver = heapq.heappop(heap)
+        te, x, ver = pop(heap)
         if ver != version[x]:
             continue
         if te > horizon:
             break
-        flush(te)
-        s = states[x]
-        rx = rho[x]
-        if s == INFECTED:
-            states[x] = REMOVED if cfg.mode == ZETA else HEALTHY
+        if next_sample < te:
+            next_sample = flush(te)
+        if n - i < per_event:
+            buf, batch = _top_up(rng, buf[i:], batch, per_event)
+            i, n = 0, len(buf)
+        # x flips; its dst gain or lose x's weight as infection pressure
+        rx = rho_c[x]
+        if states[x] == INFECTED:
+            states[x] = after_recovery
             n_inf -= 1
-            for z in dst[x]:
-                pressure[z] -= rx
-                if states[z] == HEALTHY:
-                    schedule(z, te)
-            schedule(x, te)
-            if n_inf == 0:
-                extinction_time = te
-                break
+            rx = -rx
         else:
             states[x] = INFECTED
             n_inf += 1
-            for z in dst[x]:
-                pressure[z] += rx
-                if states[z] == HEALTHY:
-                    schedule(z, te)
-            schedule(x, te)
+        for z in dst[x]:
+            pressure[z] += rx
+            if states[z] == HEALTHY:
+                v = version[z] + 1
+                version[z] = v
+                r = lam_rho[z] * pressure[z]
+                if r > 0.0:
+                    push(heap, (te + buf[i] / r, z, v))
+                    i += 1
+        v = version[x] + 1
+        version[x] = v
+        s = states[x]
+        if s == INFECTED:
+            push(heap, (te + buf[i], x, v))
+            i += 1
+        elif s == HEALTHY:
+            r = lam_rho[x] * pressure[x]
+            if r > 0.0:
+                push(heap, (te + buf[i] / r, x, v))
+                i += 1
+        if n_inf == 0:
+            extinction_time = te
+            break
 
     flush(math.inf)
     survived = n_inf > 0
     if survived:
         extinction_time = float(horizon)
-    res = SimResult(survived=survived,
-                    extinction_time=float(extinction_time),
-                    occupancy_trace=trace,
-                    probe_trace=probe_trace)
-    return res
+    return SimResult(survived=survived,
+                     extinction_time=float(extinction_time),
+                     occupancy_trace=trace,
+                     probe_trace=probe_trace)
 
 
 def run_on_events(cfg: Configuration, rep) -> np.ndarray:
@@ -338,10 +367,10 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
     sums = np.zeros(len(positive))
     sqsums = np.zeros(len(positive))
     if positive:
+        start = Configuration.single_seed(box, box.apex, mode=ETA_HAT)
         for rep_i in range(reps):
             fld = sample_field(dist, box, np.random.SeedSequence(key + [rep_i, 0]))
-            res = run(Configuration.single_seed(box, box.apex, mode=ETA_HAT), fld,
-                      lam, horizon=tmax,
+            res = run(start, fld, lam, horizon=tmax,
                       seed=np.random.SeedSequence(key + [rep_i, 1]),
                       sample_times=positive)
             w_apex = fld.weights[apex]

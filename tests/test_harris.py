@@ -58,6 +58,17 @@ def test_build_determinism():
     assert a.event_arrays() == b.event_arrays()
 
 
+def test_rep_equality_is_identity():
+    box = BoxSpec(d=2, side=3)
+    fld = sample_field(WeightDistribution.two_point(0.6), box, 5)
+    rep = build(box, fld, 0.7, 4.0, seed=10)
+    other = build(box, fld, 0.7, 4.0, seed=10)
+    assert rep == rep
+    assert (rep == other) is False
+    assert hash(rep) == hash(rep)
+    assert len({rep, other}) == 2
+
+
 def test_build_poisson_means():
     # per-edge arrow mean ~ horizon over ~10^4 edges; total marks ~ V*horizon
     box = BoxSpec(d=2, side=70)

@@ -138,6 +138,13 @@ def test_run_determinism_bit_exact():
     assert a.extinction_time == b.extinction_time
     assert a.occupancy_trace == b.occupancy_trace
     assert a.probe_trace == b.probe_trace
+    # callers reuse one start configuration across replicates
+    for mode in (ETA, ETA_HAT, ZETA):
+        for cfg in (Configuration.all_infected(box, mode=mode),
+                    Configuration.single_seed(box, mode=mode)):
+            before = cfg.states.copy()
+            run(cfg, fld, 0.9, 3.0, seed=77, **kw)
+            assert np.array_equal(cfg.states, before)
 
 
 def _digest(rows) -> str:
