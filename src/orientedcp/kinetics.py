@@ -220,13 +220,16 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     trace: list = []
     probe_trace: list | None = [] if probe is not None else None
 
-    def flush(up_to: float) -> float:
+    def flush(up_to: float, alive: bool) -> float:
         # record every pending sample time strictly before up_to and
-        # return the next pending one
+        # return the next pending one; a dead process needs no mask
         nonlocal sptr
         while sptr < len(samples) and samples[sptr] < up_to and samples[sptr] <= horizon:
-            mask = view == INFECTED
-            trace.append((samples[sptr], int(mask.sum()), float(rho[mask].sum())))
+            if alive:
+                mask = view == INFECTED
+                trace.append((samples[sptr], int(mask.sum()), float(rho[mask].sum())))
+            else:
+                trace.append((samples[sptr], 0, 0.0))
             if probe_trace is not None:
                 probe_trace.append((samples[sptr], int(view[probe])))
             sptr += 1
@@ -242,7 +245,7 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         if te > horizon:
             break
         if next_sample < te:
-            next_sample = flush(te)
+            next_sample = flush(te, True)
         if n - i < per_event:
             buf, batch = _top_up(rng, buf[i:], batch, per_event)
             i, n = 0, len(buf)
@@ -279,7 +282,7 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
             extinction_time = te
             break
 
-    flush(math.inf)
+    flush(math.inf, n_inf > 0)
     survived = n_inf > 0
     if survived:
         extinction_time = float(horizon)
