@@ -16,15 +16,13 @@ rate changes.  By memorylessness this reproduces the jump chain exactly.
 Given equal seeds and equal rate values it consumes randomness identically,
 which the scale-equivalence tests rely on.
 
-The event loop keeps its state in containers that Python indexes without
-boxing numpy scalars: vertex states in a ``bytearray`` (a removed vertex is
-byte 255; an int8 view of the same memory reads -1 and serves the O(V)
-sample masks), infection pressure and the ``lam * rho`` and ``rho`` columns
-in ``array('d')``, clock versions in a list.  Exponential draws come in
-batches converted to lists, 64 draws at first and doubling up to 8192;
-before each event the unread draws are topped up to at least d + 1, the
-most one event consumes.  The draws are read in stream order, so the
-batch sizes do not change any result.
+The event loop keeps its state where Python indexes it without boxing
+numpy scalars: vertex states in a ``bytearray`` (removed is byte 255; an
+int8 view reads -1 and serves the O(V) sample masks), pressure, ``rho`` and
+``lam * rho`` in ``array('d')``, clock versions in a list.  Exponential
+draws arrive in batches turned into lists, from 64 draws doubling to 8192,
+and are topped up before each event to the d + 1 it may consume.  They are
+read in stream order, so batch sizes change no result.
 
 The decay profile f(t) = E[rho(apex) * 1{apex infected at t}] from the
 all-infected start is estimated through duality: in the graphical
@@ -56,7 +54,6 @@ ZETA = "zeta"
 _MODES = (ETA, ETA_HAT, ZETA)
 
 HEALTHY, INFECTED, REMOVED = 0, 1, -1
-_REMOVED_BYTE = REMOVED & 0xFF  # REMOVED as an unsigned byte
 
 
 @dataclass
@@ -134,12 +131,9 @@ _FIRST_BATCH, _BATCH_CAP = 64, 8192
 
 def _top_up(rng: np.random.Generator, buf: list, batch: int,
             need: int) -> tuple[list, int]:
-    """Append exponential batches to the unread draws ``buf``.
-
-    Batches double from ``_FIRST_BATCH`` up to ``_BATCH_CAP`` until ``buf``
-    holds at least ``need`` draws.  A Generator's stream does not depend on
-    how it is cut into batches, so the draws read in order are the same.
-    Returns the buffer and the next batch size.
+    """Append batches of exponential draws, doubling up to ``_BATCH_CAP``,
+    to the unread draws ``buf`` until it holds ``need``; return it and the
+    next batch size.
     """
     while len(buf) < need:
         buf += rng.standard_exponential(batch).tolist()
@@ -175,42 +169,32 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         dst = lattice.out_neighbor_lists(box)
     # one event resamples at most its vertex and that vertex's dst
     per_event = box.d + 1
-    after_recovery = _REMOVED_BYTE if cfg.mode == ZETA else HEALTHY
-
-    # A removed vertex is byte 255 here and reads -1 through the int8 view.
+    # a removed vertex is byte 255 here and reads -1 through the int8 view
+    after_recovery = REMOVED & 0xFF if cfg.mode == ZETA else HEALTHY
     states = bytearray(cfg.states.tobytes())
     view = np.frombuffer(states, dtype=np.int8)
     pressure = array("d", bytes(8 * V))
     infected = np.flatnonzero(cfg.states == INFECTED).tolist()
-    for x in infected:
-        rx = rho_c[x]
-        for z in dst[x]:
-            pressure[z] += rx
     n_inf = len(infected)
+    touched = set(infected)  # only these can have a nonzero rate
+    for x in infected:
+        touched.update(dst[x])
+        for z in dst[x]:
+            pressure[z] += rho_c[x]
 
     rng = rng_from(seed)
     version = [0] * V
     heap: list = []
     push, pop = heapq.heappush, heapq.heappop
-
-    # Only vertices with a nonzero rate need an initial clock.
-    touched = set(infected)
-    for x in infected:
-        touched.update(dst[x])
     buf, batch = _top_up(rng, [], _FIRST_BATCH, len(touched))
     i = 0
-    now = cfg.clock
     for x in sorted(touched):
-        s = states[x]
         version[x] = 1
-        if s == INFECTED:
-            push(heap, (now + buf[i], x, 1))
+        s = states[x]
+        r = 1.0 if s == INFECTED else lam_rho[x] * pressure[x] if s == HEALTHY else 0.0
+        if r > 0.0:
+            push(heap, (cfg.clock + buf[i] / r, x, 1))
             i += 1
-        elif s == HEALTHY:
-            r = lam_rho[x] * pressure[x]
-            if r > 0.0:
-                push(heap, (now + buf[i] / r, x, 1))
-                i += 1
     n = len(buf)
 
     samples = sorted(float(t) for t in sample_times)
@@ -270,14 +254,10 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         v = version[x] + 1
         version[x] = v
         s = states[x]
-        if s == INFECTED:
-            push(heap, (te + buf[i], x, v))
+        r = 1.0 if s == INFECTED else lam_rho[x] * pressure[x] if s == HEALTHY else 0.0
+        if r > 0.0:
+            push(heap, (te + buf[i] / r, x, v))
             i += 1
-        elif s == HEALTHY:
-            r = lam_rho[x] * pressure[x]
-            if r > 0.0:
-                push(heap, (te + buf[i] / r, x, v))
-                i += 1
         if n_inf == 0:
             extinction_time = te
             break
