@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -18,6 +19,12 @@ from orientedcp.moments import (PathPercolation, TransferOperator,
 from orientedcp.weights import WeightDistribution, constant_field, sample_field
 
 CONST = WeightDistribution.constant(1.0)
+LAWS = (CONST, WeightDistribution.two_point(0.5),
+        WeightDistribution.from_table((0.3, 1.0, 2.0), (0.2, 0.5, 0.3)))
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def test_edge_pass_fixtures():
@@ -317,3 +324,37 @@ def test_survival_bound_sampled_route_consistent():
     exact = survival_lower_bound(dist, 2, 2.0, 3)
     sampled = survival_lower_bound(dist, 2, 2.0, 3, walk_samples=6000, seed=8)
     assert sampled.value == pytest.approx(exact.value, rel=0.1)
+
+
+def test_count_paths_mc_golden_digest():
+    # Fixed outputs of the batched level DP: any change in how it draws
+    # weights and clocks, or in the order its sums are taken, moves this.
+    rows = []
+    for dist in LAWS:
+        for d in (1, 2, 3, 4):
+            for n in (0, 1, 3, 6):
+                e = count_paths_mc(dist, d, 0.9, n, reps=300, seed=[d, n], batch=128)
+                rows.append((float(e.mean), float(e.se_mean),
+                             float(e.second_moment), float(e.se_second)))
+    assert len(rows) == 48
+    assert _digest(rows) == \
+        "f931f524bdd4e42c0f6e4b6e34c3b7f95c05bd3a8206347c0aa8426533d8d7e4"
+
+
+def test_sampled_ratio_golden_digest():
+    # Fixed outputs of the sampled moment ratio and the survival bound built
+    # on it: the walk draws, the pattern values and their averaging order.
+    rows = []
+    for dist in LAWS[:2]:
+        for d in (2, 3, 5):
+            for n in (1, 4, 7):
+                for ub in (False, True):
+                    r = path_count_moment_ratio(dist, d, 0.7, n, walk_samples=2000,
+                                                seed=[d, n], use_bound=ub)
+                    rows.append((float(r.value), float(r.se),
+                                 float(r.numerator), float(r.denominator)))
+    sb = survival_lower_bound(LAWS[1], 3, 0.6, 6, walk_samples=1000, seed=4)
+    rows.append((float(sb.value), sb.best_n, sb.per_n))
+    assert len(rows) == 37
+    assert _digest(rows) == \
+        "992627b843895926ad84f61f7556cf47273f4accaf0587b5522c0248df9e3fcf"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -211,3 +212,21 @@ def test_functional_no_meet_baseline():
     base = 2.0 * (1.0 + 0.1) ** 2
     assert est.value >= base - 1e-9
     assert est.m_sums[0][1] >= base * 0.5
+
+
+def test_walk_estimators_golden_digest():
+    # Fixed outputs of the difference-walk estimators.  At 1200 samples and
+    # horizon 600, meet_probability compacts its working set at steps 256
+    # and 512, so the digest also pins the compaction.
+    law = WeightDistribution.two_point(0.5)
+    rows = []
+    for d in (3, 4, 6, 10):
+        m = meet_probability(d, 600, 1200, seed=[d])
+        rows.append((float(m.tau1_fraction), float(m.q_hat), float(m.se),
+                     float(m.censored_fraction)))
+        f = collision_functional(law, d, 0.3, 500, 400, seed=[d, 1])
+        rows.append((float(f.value), float(f.se), float(f.censored_fraction),
+                     f.m_sums, f.diverging))
+    assert len(rows) == 8
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "1379c5e13f2b8a49cc9d9f977ded69b313c64f0225d461e3284eccfddecdc43b"
