@@ -10,7 +10,9 @@ exponents count episodes, their lengths, and the isolated touches.
 All estimators here run on the difference walk: only the coordinate-wise
 difference of the two positions is tracked, with an incrementally updated
 l1 norm, so one step costs a handful of vectorized operations regardless of
-dimension.
+dimension.  A batch of pairs keeps its differences in one flat int32 array,
+d entries per pair, addressed by per-pair offsets; a step gathers and
+scatters through those offsets instead of two-dimensional fancy indexing.
 """
 
 from __future__ import annotations
@@ -177,22 +179,31 @@ def collision_integrand(stats: CollisionStats, dist: WeightDistribution,
 # ---------------------------------------------------------------------------
 # batched difference-walk estimators
 
-def _advance(rng, diff: np.ndarray, l1: np.ndarray, rows: np.ndarray, d: int) -> None:
+def _advance(rng, diff: np.ndarray, l1: np.ndarray, base: np.ndarray, d: int) -> None:
     """One synchronous step of the difference walk, l1 updated in place.
 
-    The first walk adds +1 at a uniform coordinate, the second subtracts 1
-    at an independent one; the l1 change of each half-step depends only on
+    diff is flat: pair r owns the d entries diff[base[r]:base[r] + d].  The
+    first walk adds +1 at a uniform coordinate, the second subtracts 1 at
+    an independent one; each half-step changes l1 by +1 or -1 according to
     the sign of the touched coordinate, so no full-norm rescan is needed.
     """
-    n = len(rows)
+    n = len(base)
     i = rng.integers(0, d, size=n, dtype=np.int16)
     j = rng.integers(0, d, size=n, dtype=np.int16)
-    vi = diff[rows, i]
-    l1 += np.where(vi >= 0, 1, -1)
-    diff[rows, i] = vi + 1
-    vj = diff[rows, j]
-    l1 += np.where(vj <= 0, 1, -1)
-    diff[rows, j] = vj - 1
+    at = base + i
+    vi = diff[at]
+    diff[at] = vi + 1
+    up = vi >= 0
+    at = base + j
+    vj = diff[at]
+    diff[at] = vj - 1
+    down = vj <= 0
+    # l1 += (2 * up - 1) + (2 * down - 1), without integer temporaries
+    l1 += up
+    l1 += up
+    l1 += down
+    l1 += down
+    l1 -= 2
 
 
 @dataclass(frozen=True)
@@ -223,13 +234,13 @@ def meet_probability(d: int, horizon: int, samples: int, seed=None) -> MeetEstim
     if horizon < 1 or samples < 1:
         raise ValueError("horizon and samples must be >= 1")
     rng = rng_from(seed)
-    diff = np.zeros((samples, d), dtype=np.int32)
+    diff = np.zeros(samples * d, dtype=np.int32)
     l1 = np.zeros(samples, dtype=np.int64)
     done = np.zeros(samples, dtype=bool)
-    rows = np.arange(samples)
+    base = np.arange(samples) * d
     count1 = count2 = 0
     for step in range(1, horizon + 1):
-        _advance(rng, diff, l1, rows, d)
+        _advance(rng, diff, l1, base, d)
         newly = (l1 == 0) & ~done
         hits = int(np.count_nonzero(newly))
         if hits:
@@ -240,10 +251,10 @@ def meet_probability(d: int, horizon: int, samples: int, seed=None) -> MeetEstim
             done |= newly
         if step % 256 == 0 and done.mean() > 0.1:
             keep = ~done
-            diff = diff[keep]
+            diff = diff.reshape(-1, d)[keep].ravel()
             l1 = l1[keep]
             done = np.zeros(len(l1), dtype=bool)
-            rows = np.arange(len(l1))
+            base = np.arange(len(l1)) * d
     q = count2 / samples
     return MeetEstimate(d=d, horizon=horizon, samples=samples,
                         tau1_fraction=count1 / samples, q_hat=q,
@@ -306,12 +317,12 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
                                   convention=convention, value=None, se=None,
                                   censored_fraction=1.0, m_sums=(), diverging=False)
     rng = rng_from(seed)
-    diff = np.zeros((samples, d), dtype=np.int32)
+    diff = np.zeros(samples * d, dtype=np.int32)
     l1 = np.zeros(samples, dtype=np.int64)
-    rows = np.arange(samples)
+    base = np.arange(samples) * d
     met_rows, met_steps = [], []
     for step in range(1, horizon + 1):
-        _advance(rng, diff, l1, rows, d)
+        _advance(rng, diff, l1, base, d)
         hits = np.flatnonzero(l1 == 0)
         if hits.size:
             met_rows.append(hits.astype(np.int32))
