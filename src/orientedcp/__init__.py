@@ -21,9 +21,8 @@ from .harris import (CheckReport, DualityEstimate, GraphicalRep, build,
                      duality_sweep, percolate_dual, percolate_forward,
                      removal_coupling_check, thin_arrows)
 from .moments import (MomentRatio, PathCountEstimate, SurvivalBound,
-                      TransferOperator, count_paths, count_paths_mc,
-                      expected_path_count, pair_chain_expectation, pair_factor,
-                      path_count_moment_ratio, sample_path_percolation,
+                      TransferOperator, count_paths_mc, expected_path_count,
+                      pair_chain_expectation, path_count_moment_ratio,
                       survival_lower_bound)
 from .walks import (CollisionStats, FunctionalEstimate, MeetEstimate, WalkPair,
                     collision_functional, collision_integrand, collision_stats,
@@ -41,14 +40,14 @@ __all__ = [
     "SurvivalBound", "SurvivalEstimate", "TransferOperator", "WalkPair",
     "WeightDistribution", "WeightField", "build", "check_subcritical_decay",
     "collision_functional", "collision_integrand", "collision_stats",
-    "constant_field", "count_paths", "count_paths_mc", "coupling_sweep",
+    "constant_field", "count_paths_mc", "coupling_sweep",
     "decay_envelope", "duality_annealed", "duality_check", "duality_sweep",
     "edge_table", "estimate_critical_rate", "expected_path_count",
     "in_neighbors", "index_vertex", "load_field", "meet_probability",
-    "out_neighbors", "pair_chain_expectation", "pair_factor",
+    "out_neighbors", "pair_chain_expectation",
     "path_count_moment_ratio", "percolate_dual", "percolate_forward",
     "removal_coupling_check", "run", "run_on_events", "sample_field",
-    "sample_path_percolation", "sample_walk_pair", "save_field",
+    "sample_walk_pair", "save_field",
     "scan_defaults", "seed_key", "step_rates", "survival_indicators_nested",
     "survival_lower_bound", "survival_probability", "thin_arrows",
     "vertex_index", "weighted_origin_occupancy",

@@ -49,40 +49,6 @@ def shared_source_pass_probability(lam, a, c, c_hat):
     return 1.0 - 1.0 / (1.0 + r1) - 1.0 / (1.0 + r2) + 1.0 / (1.0 + r1 + r2)
 
 
-@dataclass(frozen=True)
-class PairFactor:
-    value: float       # the number used by the calling recursion
-    is_bound: bool     # True when value is the 2*g*g upper bound
-    exact: float       # exact joint probability regardless of is_bound
-
-
-def pair_factor(lam: float, a, c, b=None, c_hat=None, *, use_bound: bool = False) -> PairFactor:
-    """One-step joint pass probability for the edges of a walk pair.
-
-    Which optional weights are given encodes the geometry:
-      - (a, c) only: both walks traverse the same edge, value g(a, c);
-      - (a, c, c_hat): one source of weight a, distinct targets c and c_hat;
-        exact by inclusion-exclusion, or the 2*g*g bound when use_bound;
-      - (a, c, b, c_hat): distinct sources a and b, so the recovery clocks
-        are independent and the value factorises g(a, c) * g(b, c_hat).
-        Equal targets need no special case: only source clocks are shared.
-    """
-    if b is None and c_hat is None:
-        v = float(edge_pass_probability(lam, a, c))
-        return PairFactor(value=v, is_bound=False, exact=v)
-    if b is None:
-        exact = float(shared_source_pass_probability(lam, a, c, c_hat))
-        if use_bound:
-            bound = 2.0 * float(edge_pass_probability(lam, a, c)) \
-                * float(edge_pass_probability(lam, a, c_hat))
-            return PairFactor(value=bound, is_bound=True, exact=exact)
-        return PairFactor(value=exact, is_bound=False, exact=exact)
-    if c_hat is None:
-        raise ValueError("a second source weight b requires its target c_hat")
-    v = float(edge_pass_probability(lam, a, c)) * float(edge_pass_probability(lam, b, c_hat))
-    return PairFactor(value=v, is_bound=False, exact=v)
-
-
 class TransferOperator:
     """First-moment recursion over the weight support.
 
@@ -119,72 +85,7 @@ def expected_path_count(dist: WeightDistribution, d: int, lam: float, n: int) ->
 
 
 # ---------------------------------------------------------------------------
-# sampled clock structures and exact per-draw counting
-
-@dataclass(frozen=True)
-class PathPercolation:
-    """One draw of recovery and transmission clocks on a box.
-
-    vertex_clocks[x] is the Exp(1) recovery draw; edge_clocks[i, x] the
-    first-transmission draw on the edge x -> x + e_i, infinite where the
-    rate vanishes or the neighbor leaves the box.
-    """
-
-    field: WeightField
-    lam: float
-    vertex_clocks: np.ndarray
-    edge_clocks: np.ndarray
-
-    def open_edges(self) -> np.ndarray:
-        """(d, V) bool: edge open iff its clock beats the source recovery."""
-        return self.edge_clocks <= self.vertex_clocks[None, :]
-
-
-def sample_path_percolation(fld: WeightField, lam: float, seed) -> PathPercolation:
-    """Draw all clocks in a fixed order; equal seeds give equal draws."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    box = fld.box
-    rng = rng_from(seed)
-    V = box.n_vertices
-    rho = fld.weights
-    t_vertex = rng.standard_exponential(V)
-    raw = rng.standard_exponential((box.d, V))
-    nb = lattice.out_neighbor_indices(box)
-    rates = np.zeros((box.d, V))
-    for i in range(box.d):
-        has = nb[:, i] >= 0
-        rates[i, has] = lam * rho[has] * rho[nb[has, i]]
-    with np.errstate(divide="ignore"):
-        clocks = np.where(rates > 0.0, raw / np.where(rates > 0.0, rates, 1.0), np.inf)
-    return PathPercolation(field=fld, lam=float(lam), vertex_clocks=t_vertex,
-                           edge_clocks=clocks)
-
-
-def count_paths(perc: PathPercolation, n: int) -> int:
-    """Exact number of open n-step paths from the origin in one draw.
-
-    Dynamic program over levels: every step raises the coordinate sum by
-    one, so paths never revisit a vertex and counts at level k feed level
-    k+1 only.  Needs n <= box side so the whole depth-n cone is present.
-    """
-    box = perc.field.box
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
-    if n > box.side:
-        raise ValueError(f"paths of length {n} escape a box of side {box.side}")
-    opn = perc.open_edges()
-    nb = lattice.out_neighbor_indices(box)
-    counts = np.zeros(box.n_vertices)
-    counts[0] = 1.0
-    for _ in range(n):
-        new = np.zeros_like(counts)
-        for i in range(box.d):
-            src = np.flatnonzero(nb[:, i] >= 0)
-            new[nb[src, i]] += counts[src] * opn[i, src]
-        counts = new
-    return int(round(counts.sum()))
-
+# Monte Carlo path counts
 
 @dataclass(frozen=True)
 class PathCountEstimate:
@@ -213,17 +114,27 @@ def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
                    reps: int, seed, batch: int = 2048) -> PathCountEstimate:
     """Monte Carlo moments of the open-path count by exact per-draw counting.
 
-    Each replicate draws a fresh weight field and clock structure on the
-    depth-n cone and runs the level dynamic program.  Batched; the draw
-    order inside a batch is fixed, so results depend on (seed, batch) only.
+    Each replicate draws a fresh weight field, recovery clocks and edge
+    clocks over the whole (n+1)^d box, so the random stream is that of a
+    full-box draw.  The level dynamic program reads only the level sets
+    {coordinate sum = k}: an n-step path from the origin is at level k
+    after k steps, and every vertex below level n has all d out-neighbours
+    in the box.  Batched; the draw order inside a batch is fixed, so
+    results depend on (seed, batch) only.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     box = BoxSpec(d, max(n, 1))
     V = box.n_vertices
     nb = lattice.out_neighbor_indices(box)
-    axis_src = [np.flatnonzero(nb[:, i] >= 0) for i in range(d)]
-    axis_dst = [nb[axis_src[i], i] for i in range(d)]
+    level = np.indices(box.shape).reshape(d, V).sum(axis=0)
+    layers = [np.flatnonzero(level == k) for k in range(n + 1)]
+    slot = np.empty(V, dtype=np.intp)
+    for layer in layers:
+        slot[layer] = np.arange(len(layer))
+    # step k reads the level-k sources; row i of dst and at holds their
+    # targets along axis i and those targets' slots in the level-(k+1) counts
+    steps = [(src, nb[src].T, slot[nb[src]].T) for src in layers[:-1]]
     rng = rng_from(seed)
     s1 = s2 = s4 = 0.0
     done = 0
@@ -232,15 +143,14 @@ def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
         w = dist.sample(rng, (B, V))
         t_vertex = rng.standard_exponential((B, V))
         raw = rng.standard_exponential((B, d, V))
-        counts = np.zeros((B, V))
-        counts[:, 0] = 1.0
-        for _ in range(n):
-            new = np.zeros_like(counts)
+        counts = np.ones((B, 1))
+        for k, (src, dst, at) in enumerate(steps):
+            lam_w = lam * w[:, src]
+            t_src = t_vertex[:, src]
+            new = np.zeros((B, len(layers[k + 1])))
             for i in range(d):
-                src, dst = axis_src[i], axis_dst[i]
-                rate = lam * w[:, src] * w[:, dst]
-                opened = raw[:, i, src] <= rate * t_vertex[:, src]
-                new[:, dst] += counts[:, src] * opened
+                opened = raw[:, i, src] <= lam_w * w[:, dst[i]] * t_src
+                new[:, at[i]] += counts * opened
             counts = new
         tot = counts.sum(axis=1)
         s1 += tot.sum()
@@ -314,6 +224,29 @@ def _patterns_between(pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
     return np.concatenate([lead, eq], axis=1)
 
 
+def _pattern_values(rows: np.ndarray, dist: WeightDistribution, lam: float,
+                    use_bound: bool) -> np.ndarray:
+    """pair_chain_expectation of every coincidence row, one call per distinct row.
+
+    Rows are bit-packed into 64-bit words and sorted, so equal rows sit
+    next to each other; each run of equal rows is evaluated once and the
+    values are gathered back in row order.
+    """
+    packed = np.packbits(rows, axis=1)
+    words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    values = np.array([pair_chain_expectation(rows[r], dist, lam, use_bound=use_bound)
+                       for r in order[first]])
+    return values[group]
+
+
 @dataclass(frozen=True)
 class MomentRatio:
     d: int
@@ -344,13 +277,6 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
     if expected <= 0.0:
         raise ValueError("expected path count is zero; ratio undefined")
     den = expected ** 2
-    cache: dict[tuple, float] = {}
-
-    def value_of(row) -> float:
-        key = tuple(bool(v) for v in row)
-        if key not in cache:
-            cache[key] = pair_chain_expectation(key, dist, lam, use_bound=use_bound)
-        return cache[key]
 
     if walk_samples is None:
         n_pairs = d ** (2 * n)
@@ -360,11 +286,11 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
                 " pass walk_samples for a sampled estimate")
         steps = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int8)
         pos = _walk_positions(steps, d)
+        rows = np.concatenate([_patterns_between(pos, pos[j][None, :, :])
+                               for j in range(len(steps))])
         total = 0.0
-        for j in range(len(steps)):
-            rows = _patterns_between(pos, pos[j][None, :, :])
-            for row in rows:
-                total += value_of(row)
+        for v in _pattern_values(rows, dist, lam, use_bound).tolist():
+            total += v
         return MomentRatio(d=d, n=n, value=total / den, se=0.0, method="exact",
                            numerator=total, denominator=den)
 
@@ -376,9 +302,8 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
     pos_a = _walk_positions(steps_a, d)
     rows_plain = _patterns_between(pos_a, _walk_positions(steps_b, d))
     rows_turned = _patterns_between(pos_a, _walk_positions((steps_b + 1) % d, d))
-    vals = np.fromiter((0.5 * (value_of(r1) + value_of(r2))
-                        for r1, r2 in zip(rows_plain, rows_turned)),
-                       dtype=np.float64, count=walk_samples)
+    per = _pattern_values(np.concatenate([rows_plain, rows_turned]), dist, lam, use_bound)
+    vals = 0.5 * (per[:walk_samples] + per[walk_samples:])
     scale = float(d) ** (2 * n)
     num = scale * float(vals.mean())
     se_num = scale * float(vals.std(ddof=1)) / math.sqrt(walk_samples)

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _oracles import (PathPercolation, count_paths, pair_factor,
+                      sample_path_percolation)
 from orientedcp import lattice, moments
 from orientedcp.lattice import BoxSpec
-from orientedcp.moments import (PathPercolation, TransferOperator,
-                                count_paths, count_paths_mc,
+from orientedcp.moments import (TransferOperator, count_paths_mc,
                                 edge_pass_probability, expected_path_count,
-                                pair_chain_expectation, pair_factor,
+                                pair_chain_expectation,
                                 path_count_moment_ratio,
-                                sample_path_percolation,
                                 shared_source_pass_probability,
                                 survival_lower_bound)
-from orientedcp.weights import WeightDistribution, constant_field, sample_field
+from orientedcp.weights import (WeightDistribution, WeightField, constant_field,
+                                rng_from, sample_field)
 
 CONST = WeightDistribution.constant(1.0)
 LAWS = (CONST, WeightDistribution.two_point(0.5),
@@ -193,6 +194,24 @@ def test_count_paths_mc_matches_exact_moments():
     exact = path_count_moment_ratio(dist, d, lam, n)
     assert abs(est.second_moment - exact.numerator) <= 3.0 * est.se_second
     assert abs(est.ratio - exact.value) <= 4.0 * est.se_ratio
+
+
+def test_count_paths_mc_per_draw_matches_full_box_oracle():
+    # One replicate per call: redraw its weights, recovery clocks and edge
+    # clocks from the same stream and count on the full box, which reads
+    # every vertex rather than the level sets.  A (V,) draw consumes the
+    # stream exactly as a (1, V) draw does.
+    for dist in LAWS:
+        for d in (1, 2, 3, 4):
+            for n in (0, 1, 3, 5):
+                box = BoxSpec(d, max(n, 1))
+                for s in range(40):
+                    est = count_paths_mc(dist, d, 0.9, n, reps=1, seed=[s], batch=1)
+                    rng = rng_from([s])
+                    fld = WeightField(box=box, weights=dist.sample(rng, box.n_vertices),
+                                      seed=s)
+                    perc = sample_path_percolation(fld, 0.9, rng)
+                    assert count_paths(perc, n) == est.mean, (dist.kind, d, n, s)
 
 
 def test_count_paths_mc_determinism():
