@@ -1,9 +1,9 @@
 """Test-side oracles for the moment machinery.
 
-The per-draw open-path count on an explicit clock structure, and the
-one-step joint pass probability of a walk pair, kept out of the package on
-purpose: the tests cross-check ``orientedcp.moments`` against them, so
-they must not share its code paths.
+The per-draw open-path count on an explicit full-box clock structure, and
+the one-step joint pass probability of a walk pair.  The package does not
+use them; the tests cross-check ``orientedcp.moments`` against them, so
+they stay apart from the code they check.
 """
 
 from __future__ import annotations
