@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -158,16 +157,18 @@ def _cmd_simulate(cfg, dist, out, jobs, digest):
     mode = cfg["mode"]
     horizon = cfg["horizon"]
     times = cfg["sample_times"] or [horizon * (k + 1) / 8.0 for k in range(8)]
+    if cfg["reps"] < 1:
+        raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
+    if cfg["start"] == "origin":
+        start = kinetics.Configuration.single_seed(box, mode=mode)
+    elif cfg["start"] == "all":
+        start = kinetics.Configuration.all_infected(box, mode=mode)
+    else:
+        raise ValueError(f"start must be all or origin, got {cfg['start']!r}")
     key = seed_key(cfg["seed"])
     rows = []
     for r in range(cfg["reps"]):
         fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 0]))
-        if cfg["start"] == "origin":
-            start = kinetics.Configuration.single_seed(box, mode=mode)
-        elif cfg["start"] == "all":
-            start = kinetics.Configuration.all_infected(box, mode=mode)
-        else:
-            raise ValueError(f"start must be all or origin, got {cfg['start']!r}")
         res = kinetics.run(start, fld, cfg["lambda"], horizon,
                            seed=np.random.SeedSequence(key + [r, 1]),
                            sample_times=times)

@@ -37,14 +37,14 @@ class GraphicalRep:
 
     ``times`` (float64), ``kinds`` (int8), ``a`` and ``b`` (int32) are
     parallel columns, one row per event, sorted by (time, kind, a, b).
-    Equality and hashing are by identity, since the columns are arrays.
+    The rep keeps its box, rate and horizon but not the weight field or the
+    seed it was built from; the replays read only the table.  Equality and
+    hashing are by identity, since the columns are arrays.
     """
 
     box: BoxSpec
-    field: WeightField
     lam: float
     horizon: float
-    seed: object
     times: np.ndarray
     kinds: np.ndarray
     a: np.ndarray
@@ -52,11 +52,11 @@ class GraphicalRep:
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def from_columns(cls, box: BoxSpec, fld: WeightField, lam: float,
-                     horizon: float, seed, times, kinds, a, b) -> "GraphicalRep":
+    def from_columns(cls, box: BoxSpec, lam: float, horizon: float,
+                     times, kinds, a, b) -> "GraphicalRep":
         """Sort unordered event columns into a rep."""
         order = np.lexsort((b, a, kinds, times))
-        return cls(box=box, field=fld, lam=lam, horizon=float(horizon), seed=seed,
+        return cls(box=box, lam=lam, horizon=float(horizon),
                    times=np.asarray(times, np.float64)[order],
                    kinds=np.asarray(kinds, np.int8)[order],
                    a=np.asarray(a, np.int32)[order], b=np.asarray(b, np.int32)[order])
@@ -85,7 +85,6 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
     if lam < 0 or horizon <= 0:
         raise ValueError("need lam >= 0 and horizon > 0")
     rng = rng_from(seed)
-    seed_val = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
     V = box.n_vertices
     rho = fld.weights
 
@@ -100,7 +99,7 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
 
     n_marks = mark_times.size
     return GraphicalRep.from_columns(
-        box, fld, lam, horizon, seed_val,
+        box, lam, horizon,
         times=np.concatenate([mark_times, arrow_times]) * horizon,
         kinds=np.repeat([_MARK, _ARROW], [n_marks, arrow_times.size]),
         a=np.concatenate([np.repeat(np.arange(V), mark_counts),
@@ -117,7 +116,7 @@ def _resolve_set(box: BoxSpec, vertices) -> np.ndarray:
         mask[:] = True
         return mask
     for v in vertices:
-        mask[v if isinstance(v, (int, np.integer)) else lattice.vertex_index(box, v)] = True
+        mask[lattice.site_index(box, v)] = True
     return mask
 
 
@@ -195,8 +194,7 @@ def duality_check(rep: GraphicalRep, site=None) -> tuple[bool, bool]:
     room to propagate inside the box.
     """
     box = rep.box
-    idx = lattice.vertex_index(box, box.apex if site is None else site) \
-        if not isinstance(site, (int, np.integer)) else int(site)
+    idx = lattice.site_index(box, box.apex if site is None else site)
     fwd = idx in percolate_forward(rep, "all")
     rev = _reversed_reading_alive(rep, idx)
     return fwd, rev
@@ -212,8 +210,7 @@ def removal_coupling_check(rep: GraphicalRep, site=None) -> bool:
     the plain process's infected set; returns True when no event violates it.
     """
     box = rep.box
-    start = box.origin if site is None else site
-    idx = start if isinstance(start, (int, np.integer)) else lattice.vertex_index(box, start)
+    idx = lattice.site_index(box, box.origin if site is None else site)
     plain = np.zeros(box.n_vertices, dtype=np.int8)
     frozen = np.zeros(box.n_vertices, dtype=np.int8)
     plain[idx] = frozen[idx] = 1
@@ -267,6 +264,8 @@ def duality_annealed(dist: WeightDistribution, box: BoxSpec, lam: float,
     that exchanges the two edge orientations without changing the i.i.d.
     environment.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     apex = lattice.vertex_index(box, box.apex)
     key = seed_key(seed)
     counts = [0, 0, 0]
@@ -323,6 +322,8 @@ def _check_chunk(args) -> int:
 
 def _sweep_check(what: str, dist: WeightDistribution, box: BoxSpec, lam: float,
                  horizon: float, reps: int, seed, jobs: int) -> CheckReport:
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     bad = chunked_sum(_check_chunk, (what, dist.descriptor(), box.d, box.side,
                                      lam, horizon, seed_key(seed)), reps, jobs)
     return CheckReport(reps=reps, failures=bad)
@@ -366,8 +367,7 @@ def thin_arrows(rep: GraphicalRep, fractions, seed) -> list[GraphicalRep]:
     out = []
     for f in fr:
         keep = u < f
-        out.append(GraphicalRep(box=rep.box, field=rep.field, lam=rep.lam * f,
-                                horizon=rep.horizon, seed=rep.seed,
+        out.append(GraphicalRep(box=rep.box, lam=rep.lam * f, horizon=rep.horizon,
                                 times=rep.times[keep], kinds=rep.kinds[keep],
                                 a=rep.a[keep], b=rep.b[keep]))
     return out
@@ -390,9 +390,8 @@ def dump_jsonl(rep: GraphicalRep, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_jsonl(path, box: BoxSpec, fld: WeightField, lam: float,
-               horizon: float) -> GraphicalRep:
-    """Rebuild a rep from a stream dump; context not stored in the dump."""
+def load_jsonl(path, box: BoxSpec, lam: float, horizon: float) -> GraphicalRep:
+    """Rebuild a rep from a stream dump; box, rate and horizon are not in it."""
     rows = []
     with open(str(path)) as fh:
         for line in fh:
@@ -408,4 +407,4 @@ def load_jsonl(path, box: BoxSpec, fld: WeightField, lam: float,
                 raise ValueError(f"unknown stream kind {rec['kind']!r}")
             rows += [(t, kind, x, y) for t in rec["times"]]
     cols = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return GraphicalRep.from_columns(box, fld, lam, horizon, None, *cols)
+    return GraphicalRep.from_columns(box, lam, horizon, *cols)

@@ -58,12 +58,11 @@ HEALTHY, INFECTED, REMOVED = 0, 1, -1
 
 @dataclass
 class Configuration:
-    """Vertex states plus the process mode and current clock."""
+    """Vertex states plus the process mode; a run starts at time 0."""
 
     box: BoxSpec
     states: np.ndarray  # int8, 0 healthy / 1 infected / -1 removed (zeta only)
     mode: str = ETA
-    clock: float = 0.0
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -105,27 +104,6 @@ class SimResult:
     probe_trace: list | None = None
 
 
-def step_rates(cfg: Configuration, fld: WeightField, lam: float) -> np.ndarray:
-    """Per-vertex rate of the next transition in the current configuration.
-
-    Infected vertices carry their recovery rate 1; healthy vertices carry
-    their infection rate lam * rho(x) * (sum of rho over infectious
-    neighbours feeding x); removed vertices carry 0.
-    """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    box = cfg.box
-    rho = fld.weights
-    nb = (lattice.out_neighbor_indices(box) if cfg.mode == ETA_HAT
-          else lattice.in_neighbor_indices(box))
-    padded = np.concatenate([rho * (cfg.states == INFECTED), [0.0]])
-    pressure = padded[nb].sum(axis=1)  # index -1 hits the zero pad
-    rates = lam * rho * pressure
-    rates[cfg.states == INFECTED] = 1.0
-    rates[cfg.states == REMOVED] = 0.0
-    return rates
-
-
 _FIRST_BATCH, _BATCH_CAP = 64, 8192
 
 
@@ -143,7 +121,7 @@ def _top_up(rng: np.random.Generator, buf: list, batch: int,
 
 def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         seed, sample_times=(), probe=None) -> SimResult:
-    """Simulate from ``cfg`` up to ``horizon`` and return the outcome.
+    """Simulate from ``cfg`` at time 0 up to ``horizon`` and return the outcome.
 
     ``sample_times`` requests (t, count, weighted mass) trace entries;
     ``probe`` additionally records one vertex's state at those times.
@@ -193,13 +171,13 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         s = states[x]
         r = 1.0 if s == INFECTED else lam_rho[x] * pressure[x] if s == HEALTHY else 0.0
         if r > 0.0:
-            push(heap, (cfg.clock + buf[i] / r, x, 1))
+            push(heap, (buf[i] / r, x, 1))
             i += 1
     n = len(buf)
 
     samples = sorted(float(t) for t in sample_times)
-    if samples and samples[0] < cfg.clock:
-        raise ValueError("sample times must not precede the starting clock")
+    if samples and samples[0] < 0:
+        raise ValueError("sample times must be nonnegative")
     sptr = 0
     trace: list = []
     probe_trace: list | None = [] if probe is not None else None
@@ -220,7 +198,7 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         return samples[sptr] if sptr < len(samples) else math.inf
 
     next_sample = samples[0] if samples else math.inf
-    extinction_time = cfg.clock if n_inf == 0 else math.inf
+    extinction_time = 0.0 if n_inf == 0 else math.inf
 
     while heap and n_inf > 0:
         te, x, ver = pop(heap)
@@ -272,30 +250,8 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
                      probe_trace=probe_trace)
 
 
-def run_on_events(cfg: Configuration, rep) -> np.ndarray:
-    """Advance ``cfg`` through a pre-sampled event structure; return final states.
-
-    ``rep`` is a harris.GraphicalRep.  Recovery marks flip 1 -> 0 (or -> -1 in
-    zeta mode); an arrow x -> y transmits x's infection to y (y's to x in
-    eta_hat mode).  This is the same jump chain the clock engine generates,
-    driven by externally fixed event times; the two are cross-validated in
-    the tests.
-    """
-    times, kinds, a, b = rep.event_arrays()
-    states = cfg.states.copy()
-    mode = cfg.mode
-    for i in range(len(times)):
-        if kinds[i] == 0:
-            x = a[i]
-            if states[x] == INFECTED:
-                states[x] = REMOVED if mode == ZETA else HEALTHY
-        else:
-            x, y = a[i], b[i]
-            if mode == ETA_HAT:
-                x, y = y, x
-            if states[x] == INFECTED and states[y] == HEALTHY:
-                states[y] = INFECTED
-    return states
+# default box side beyond the largest sample time
+_SIDE_SLACK = 3
 
 
 @dataclass
@@ -313,14 +269,13 @@ class OccupancyEstimate:
 
 def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
                               times, reps: int, seed,
-                              side: int | None = None, slack: int = 3,
-                              ) -> OccupancyEstimate:
+                              side: int | None = None) -> OccupancyEstimate:
     """Estimate the weight-times-infection expectation from the all-infected start.
 
     The measured vertex is the box apex: it is the only vertex whose
     backward cone down to depth ``side`` lies fully inside the box, so it
     plays the role of a bulk vertex of the infinite lattice.  ``side``
-    defaults to ceil(max time) + slack; doubling it is the standard
+    defaults to ceil(max time) + 3; doubling it is the standard
     truncation check.  At t = 0 the state factor is identically 1, so the
     exact mean weight is returned with zero standard error.
 
@@ -339,9 +294,11 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
     ts = sorted(set(float(t) for t in times))
     if not ts or ts[0] < 0:
         raise ValueError("times must be nonnegative and nonempty")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     tmax = ts[-1]
     if side is None:
-        side = max(1, math.ceil(tmax) + slack)
+        side = max(1, math.ceil(tmax) + _SIDE_SLACK)
     box = BoxSpec(d=d, side=side)
     apex = lattice.vertex_index(box, box.apex)
     positive = [t for t in ts if t > 0]

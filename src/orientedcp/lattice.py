@@ -87,60 +87,45 @@ def index_vertex(box: BoxSpec, idx: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def out_neighbors(x, box: BoxSpec) -> list[tuple[int, ...]]:
-    """In-box targets of edges leaving ``x``, ordered by axis index."""
-    if not in_box(box, x):
-        raise ValueError(f"{x!r} outside {box}")
-    out = []
-    for i in range(box.d):
-        if x[i] < box.side:
-            y = tuple(c + 1 if j == i else c for j, c in enumerate(x))
-            out.append(y)
-    return out
+def site_index(box: BoxSpec, x) -> int:
+    """Index of a site given as a vertex tuple or as an index.
+
+    Both forms are range-checked, so a negative or too-large index raises
+    ``ValueError`` instead of wrapping around or failing on lookup.
+    """
+    if isinstance(x, (int, np.integer)):
+        if not 0 <= x < box.n_vertices:
+            raise ValueError(f"index {x} outside box with {box.n_vertices} vertices")
+        return int(x)
+    return vertex_index(box, x)
 
 
-def in_neighbors(x, box: BoxSpec) -> list[tuple[int, ...]]:
-    """In-box sources of edges entering ``x``, ordered by axis index."""
-    if not in_box(box, x):
-        raise ValueError(f"{x!r} outside {box}")
-    out = []
+def _neighbor_indices(box: BoxSpec, step: int) -> np.ndarray:
+    """(V, d) int32 array; entry [x, i] is the index of x + step * e_i or -1."""
+    arr = np.arange(box.n_vertices, dtype=np.int32).reshape(box.shape)
+    out = np.full((box.n_vertices, box.d), -1, dtype=np.int32)
+    grid = out.reshape(box.shape + (box.d,))
+    low, high = slice(None, -1), slice(1, None)
+    src_i, dst_i = (low, high) if step > 0 else (high, low)
     for i in range(box.d):
-        if x[i] > 0:
-            y = tuple(c - 1 if j == i else c for j, c in enumerate(x))
-            out.append(y)
+        src = [slice(None)] * box.d
+        dst = [slice(None)] * box.d
+        src[i], dst[i] = src_i, dst_i
+        grid[tuple(src) + (i,)] = arr[tuple(dst)]
+    out.setflags(write=False)
     return out
 
 
 @functools.lru_cache(maxsize=64)
 def out_neighbor_indices(box: BoxSpec) -> np.ndarray:
     """(V, d) int32 array; entry [x, i] is the index of x + e_i or -1."""
-    arr = np.arange(box.n_vertices, dtype=np.int32).reshape(box.shape)
-    out = np.full((box.n_vertices, box.d), -1, dtype=np.int32)
-    grid = out.reshape(box.shape + (box.d,))
-    for i in range(box.d):
-        src = [slice(None)] * box.d
-        dst = [slice(None)] * box.d
-        src[i] = slice(None, -1)
-        dst[i] = slice(1, None)
-        grid[tuple(src) + (i,)] = arr[tuple(dst)]
-    out.setflags(write=False)
-    return out
+    return _neighbor_indices(box, 1)
 
 
 @functools.lru_cache(maxsize=64)
 def in_neighbor_indices(box: BoxSpec) -> np.ndarray:
     """(V, d) int32 array; entry [x, i] is the index of x - e_i or -1."""
-    arr = np.arange(box.n_vertices, dtype=np.int32).reshape(box.shape)
-    out = np.full((box.n_vertices, box.d), -1, dtype=np.int32)
-    grid = out.reshape(box.shape + (box.d,))
-    for i in range(box.d):
-        src = [slice(None)] * box.d
-        dst = [slice(None)] * box.d
-        src[i] = slice(1, None)
-        dst[i] = slice(None, -1)
-        grid[tuple(src) + (i,)] = arr[tuple(dst)]
-    out.setflags(write=False)
-    return out
+    return _neighbor_indices(box, -1)
 
 
 @functools.lru_cache(maxsize=64)

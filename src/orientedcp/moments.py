@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
-from .weights import WeightDistribution, WeightField, rng_from, sample_field
+from .weights import WeightDistribution, rng_from
 
 
 def edge_pass_probability(lam, a, b):
@@ -247,6 +247,10 @@ def _pattern_values(rows: np.ndarray, dist: WeightDistribution, lam: float,
     return values[group]
 
 
+# most walk pairs the exact route of path_count_moment_ratio enumerates
+EXHAUSTIVE_LIMIT = 200_000
+
+
 @dataclass(frozen=True)
 class MomentRatio:
     d: int
@@ -260,16 +264,15 @@ class MomentRatio:
 
 def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int,
                             walk_samples: int | None = None, seed=None,
-                            use_bound: bool = False,
-                            exhaustive_limit: int = 200_000) -> MomentRatio:
+                            use_bound: bool = False) -> MomentRatio:
     """Second-moment ratio of the open-path count.
 
     E count^2 is a sum over ordered pairs of walks of the pair expectation,
     which depends on the pair only through its coincidence pattern.  With
     walk_samples=None all d^(2n) pairs are enumerated (refused above
-    exhaustive_limit); otherwise the pattern is sampled by drawing that many
-    independent uniform walk pairs, with a second evaluation under a cyclic
-    relabeling of the second walk's axes to damp the variance.
+    EXHAUSTIVE_LIMIT); otherwise the pattern is sampled by drawing that
+    many independent uniform walk pairs, with a second evaluation under a
+    cyclic relabeling of the second walk's axes to damp the variance.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -280,9 +283,9 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
 
     if walk_samples is None:
         n_pairs = d ** (2 * n)
-        if n_pairs > exhaustive_limit:
+        if n_pairs > EXHAUSTIVE_LIMIT:
             raise ValueError(
-                f"{n_pairs} walk pairs exceed exhaustive_limit={exhaustive_limit};"
+                f"{n_pairs} walk pairs exceed exhaustive_limit={EXHAUSTIVE_LIMIT};"
                 " pass walk_samples for a sampled estimate")
         steps = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int8)
         pos = _walk_positions(steps, d)
@@ -326,8 +329,7 @@ class SurvivalBound:
 
 def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: int,
                          walk_samples: int | None = None, seed=None,
-                         use_bound: bool = False,
-                         exhaustive_limit: int = 200_000) -> SurvivalBound:
+                         use_bound: bool = False) -> SurvivalBound:
     """max over n <= n_max of (E count)^2 / E count^2, clipped to [0, 1].
 
     Each n gives P(some open n-path exists) >= 1/ratio, a valid lower bound
@@ -345,8 +347,7 @@ def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: in
     children = base.spawn(n_max) if walk_samples is not None else [None] * n_max
     for n in range(1, n_max + 1):
         r = path_count_moment_ratio(dist, d, lam, n, walk_samples=walk_samples,
-                                    seed=children[n - 1], use_bound=use_bound,
-                                    exhaustive_limit=exhaustive_limit)
+                                    seed=children[n - 1], use_bound=use_bound)
         b = min(1.0, 1.0 / r.value)
         rows.append((n, r.value, b))
         if b > best:

@@ -1,9 +1,11 @@
-"""Test-side oracles for the moment machinery.
+"""Test-side oracles: slow, direct versions of what the package computes.
 
-The per-draw open-path count on an explicit full-box clock structure, and
-the one-step joint pass probability of a walk pair.  The package does not
-use them; the tests cross-check ``orientedcp.moments`` against them, so
-they stay apart from the code they check.
+The neighbour lists of one vertex, the per-vertex transition rates of a
+configuration, a replay of a fixed event table, the per-draw open-path
+count on an explicit full-box clock structure, and the one-step joint pass
+probability of a walk pair.  The package does not use them; the tests
+cross-check ``orientedcp`` against them, so they stay apart from the code
+they check.
 """
 
 from __future__ import annotations
@@ -13,9 +15,83 @@ from dataclasses import dataclass
 import numpy as np
 
 from orientedcp import lattice
+from orientedcp.kinetics import (ETA_HAT, HEALTHY, INFECTED, REMOVED, ZETA,
+                                 Configuration)
+from orientedcp.lattice import BoxSpec, in_box
 from orientedcp.moments import (edge_pass_probability,
                                 shared_source_pass_probability)
 from orientedcp.weights import WeightField, rng_from
+
+
+def out_neighbors(x, box: BoxSpec) -> list[tuple[int, ...]]:
+    """In-box targets of edges leaving ``x``, ordered by axis index."""
+    if not in_box(box, x):
+        raise ValueError(f"{x!r} outside {box}")
+    out = []
+    for i in range(box.d):
+        if x[i] < box.side:
+            y = tuple(c + 1 if j == i else c for j, c in enumerate(x))
+            out.append(y)
+    return out
+
+
+def in_neighbors(x, box: BoxSpec) -> list[tuple[int, ...]]:
+    """In-box sources of edges entering ``x``, ordered by axis index."""
+    if not in_box(box, x):
+        raise ValueError(f"{x!r} outside {box}")
+    out = []
+    for i in range(box.d):
+        if x[i] > 0:
+            y = tuple(c - 1 if j == i else c for j, c in enumerate(x))
+            out.append(y)
+    return out
+
+
+def step_rates(cfg: Configuration, fld: WeightField, lam: float) -> np.ndarray:
+    """Per-vertex rate of the next transition in the current configuration.
+
+    Infected vertices carry their recovery rate 1; healthy vertices carry
+    their infection rate lam * rho(x) * (sum of rho over infectious
+    neighbours feeding x); removed vertices carry 0.
+    """
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    box = cfg.box
+    rho = fld.weights
+    nb = (lattice.out_neighbor_indices(box) if cfg.mode == ETA_HAT
+          else lattice.in_neighbor_indices(box))
+    padded = np.concatenate([rho * (cfg.states == INFECTED), [0.0]])
+    pressure = padded[nb].sum(axis=1)  # index -1 hits the zero pad
+    rates = lam * rho * pressure
+    rates[cfg.states == INFECTED] = 1.0
+    rates[cfg.states == REMOVED] = 0.0
+    return rates
+
+
+def run_on_events(cfg: Configuration, rep) -> np.ndarray:
+    """Advance ``cfg`` through a pre-sampled event structure; return final states.
+
+    ``rep`` is a harris.GraphicalRep.  Recovery marks flip 1 -> 0 (or -> -1 in
+    zeta mode); an arrow x -> y transmits x's infection to y (y's to x in
+    eta_hat mode).  This is the jump chain of the clock engine driven by
+    externally fixed event times; the tests compare its final states with
+    ``harris.percolate_forward`` on the same rep.
+    """
+    times, kinds, a, b = rep.event_arrays()
+    states = cfg.states.copy()
+    mode = cfg.mode
+    for i in range(len(times)):
+        if kinds[i] == 0:
+            x = a[i]
+            if states[x] == INFECTED:
+                states[x] = REMOVED if mode == ZETA else HEALTHY
+        else:
+            x, y = a[i], b[i]
+            if mode == ETA_HAT:
+                x, y = y, x
+            if states[x] == INFECTED and states[y] == HEALTHY:
+                states[y] = INFECTED
+    return states
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,19 @@ def test_unbracketable_scan_exits_2(tmp_path, capsys):
     assert "scan failed" in err and "probed rate=" in err
 
 
+@pytest.mark.parametrize("name, sets", [
+    ("simulate", ("lambda=0.5", "start=bogus")),
+    ("f-decay", ("box.d=2", "lambda=0.1")),
+    ("duality", ("lambda=0.8",)),
+    ("zeta-check", ("lambda=0.8",)),
+])
+def test_zero_reps_exits_2(tmp_path, capsys, name, sets):
+    rc, out = _run(tmp_path, name, "reps=0", *sets)
+    assert rc == 2
+    assert "reps must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_jobs_validation(tmp_path, capsys):
     rc, _ = _run(tmp_path, "walks", "d=2", extra=("--jobs", "0"))
     assert rc == 2

@@ -5,7 +5,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from orientedcp import harris, kinetics, lattice
+from _oracles import run_on_events
+from orientedcp import harris, lattice
 from orientedcp.harris import (GraphicalRep, build, coupling_sweep,
                                duality_annealed, duality_check, duality_sweep,
                                dump_jsonl, load_jsonl, percolate_dual,
@@ -25,8 +26,7 @@ def _rep(box, marks_map=None, arrows_map=None, horizon=10.0):
     rows = [(t, MARK, x, -1) for x, ts in (marks_map or {}).items() for t in ts]
     rows += [(t, ARROW, x, y) for (x, y), ts in (arrows_map or {}).items() for t in ts]
     times, kinds, a, b = zip(*rows) if rows else ((), (), (), ())
-    return GraphicalRep.from_columns(box, constant_field(1.0, box), 1.0, horizon,
-                                     None, times, kinds, a, b)
+    return GraphicalRep.from_columns(box, 1.0, horizon, times, kinds, a, b)
 
 
 def _streams(rep, kind):
@@ -178,9 +178,9 @@ def test_percolate_matches_event_driven_engine():
     for r in range(50):
         fld = sample_field(dist, box, [71, r])
         rep = build(box, fld, 0.9, 3.0, seed=[72, r])
-        states = kinetics.run_on_events(Configuration.all_infected(box), rep)
+        states = run_on_events(Configuration.all_infected(box), rep)
         assert frozenset(np.flatnonzero(states == 1)) == percolate_forward(rep, "all")
-        states0 = kinetics.run_on_events(Configuration.single_seed(box), rep)
+        states0 = run_on_events(Configuration.single_seed(box), rep)
         assert frozenset(np.flatnonzero(states0 == 1)) == percolate_forward(rep, [0])
 
 
@@ -225,6 +225,29 @@ def test_duality_annealed_three_way():
         3.0 * est.joint_se("p_forward_all", "p_forward_origin")
 
 
+def test_sweeps_and_annealed_reject_zero_reps():
+    box = BoxSpec(d=2, side=3)
+    dist = WeightDistribution.constant(1.0)
+    for fn in (duality_sweep, coupling_sweep, duality_annealed):
+        with pytest.raises(ValueError, match="reps"):
+            fn(dist, box, 0.8, 2.0, 0, seed=1)
+
+
+@pytest.mark.parametrize("site", [-1, 16, np.int64(-1)])
+def test_integer_sites_are_range_checked(site):
+    # -1 must not wrap around to the apex; 16 is one past the last index
+    box = BoxSpec(d=2, side=3)
+    rep = build(box, constant_field(1.0, box), 1.0, 2.0, seed=4)
+    with pytest.raises(ValueError, match="outside box"):
+        duality_check(rep, site=site)
+    with pytest.raises(ValueError, match="outside box"):
+        removal_coupling_check(rep, site=site)
+    with pytest.raises(ValueError, match="outside box"):
+        percolate_forward(rep, [site])
+    with pytest.raises(ValueError, match="outside box"):
+        percolate_dual(rep, [site])
+
+
 def test_thin_arrows_nested_and_extremes():
     box = BoxSpec(d=2, side=5)
     rep = build(box, constant_field(1.0, box), 1.0, 5.0, seed=6)
@@ -258,7 +281,7 @@ def test_dump_load_roundtrip(tmp_path):
     rep = build(box, fld, 0.8, 3.0, seed=13)
     path = tmp_path / "rep.jsonl"
     dump_jsonl(rep, path)
-    back = load_jsonl(path, box, fld, 0.8, 3.0)
+    back = load_jsonl(path, box, 0.8, 3.0)
     assert all(np.array_equal(getattr(rep, c), getattr(back, c)) for c in COLUMNS)
     assert percolate_forward(rep, "all") == percolate_forward(back, "all")
     assert duality_check(rep) == duality_check(back)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from _oracles import step_rates
 from orientedcp import kinetics, lattice
 from orientedcp.kinetics import (ETA, ETA_HAT, INFECTED, REMOVED, ZETA,
                                  Configuration, decay_envelope, run,
-                                 step_rates, weighted_origin_occupancy)
+                                 weighted_origin_occupancy)
 from orientedcp.lattice import BoxSpec
 from orientedcp.weights import WeightDistribution, constant_field, sample_field
 
@@ -250,6 +251,12 @@ def test_dual_occupancy_exactly_non_increasing():
         for seed in (1, 2, 3):
             occ = weighted_origin_occupancy(dist, 2, lam, times, 60, seed=seed)
             assert all(b <= a for a, b in zip(occ.values, occ.values[1:]))
+
+
+def test_weighted_origin_occupancy_rejects_zero_reps():
+    with pytest.raises(ValueError, match="reps"):
+        weighted_origin_occupancy(WeightDistribution.constant(1.0), 2, 0.5,
+                                  [1.0], 0, seed=1)
 
 
 def test_weighted_origin_occupancy_t0_exact():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import in_neighbors, out_neighbors
 from orientedcp import lattice
 from orientedcp.errors import ResourceLimitError
 from orientedcp.lattice import BoxSpec
@@ -28,31 +29,31 @@ def test_boxspec_validation():
 
 def test_out_neighbors_examples():
     box = BoxSpec(d=2, side=4)
-    assert lattice.out_neighbors((0, 0), box) == [(1, 0), (0, 1)]
-    assert lattice.out_neighbors((4, 4), box) == []
+    assert out_neighbors((0, 0), box) == [(1, 0), (0, 1)]
+    assert out_neighbors((4, 4), box) == []
     box3 = BoxSpec(d=3, side=2)
-    assert lattice.out_neighbors((1, 2, 0), box3) == [(2, 2, 0), (1, 2, 1)]
+    assert out_neighbors((1, 2, 0), box3) == [(2, 2, 0), (1, 2, 1)]
 
 
 def test_in_neighbors_examples():
     box = BoxSpec(d=2, side=4)
-    assert lattice.in_neighbors((0, 0), box) == []
-    assert lattice.in_neighbors((2, 3), box) == [(1, 3), (2, 2)]
+    assert in_neighbors((0, 0), box) == []
+    assert in_neighbors((2, 3), box) == [(1, 3), (2, 2)]
 
 
 def test_in_neighbor_counting_identity():
     box = BoxSpec(d=3, side=3)
     for x in itertools.product(range(4), repeat=3):
         zeros = sum(1 for c in x if c == 0)
-        assert len(lattice.in_neighbors(x, box)) + zeros == 3
+        assert len(in_neighbors(x, box)) + zeros == 3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_neighbor_relations_mutually_inverse(d):
     box = BoxSpec(d=d, side=4)
     verts = list(itertools.product(range(5), repeat=d))
-    outs = {x: set(lattice.out_neighbors(x, box)) for x in verts}
-    ins = {x: set(lattice.in_neighbors(x, box)) for x in verts}
+    outs = {x: set(out_neighbors(x, box)) for x in verts}
+    ins = {x: set(in_neighbors(x, box)) for x in verts}
     for x in verts:
         for y in outs[x]:
             assert x in ins[y]
@@ -93,10 +94,20 @@ def test_neighbor_index_tables_match_lists():
     assert out_tab.shape == (box.n_vertices, 2)
     for i in range(box.n_vertices):
         x = lattice.index_vertex(box, i)
-        want_out = {lattice.vertex_index(box, y) for y in lattice.out_neighbors(x, box)}
-        want_in = {lattice.vertex_index(box, y) for y in lattice.in_neighbors(x, box)}
+        want_out = {lattice.vertex_index(box, y) for y in out_neighbors(x, box)}
+        want_in = {lattice.vertex_index(box, y) for y in in_neighbors(x, box)}
         assert {v for v in out_tab[i] if v >= 0} == want_out
         assert {v for v in in_tab[i] if v >= 0} == want_in
+
+
+def test_site_index_accepts_both_forms_in_range():
+    box = BoxSpec(d=2, side=3)
+    assert lattice.site_index(box, (1, 2)) == lattice.vertex_index(box, (1, 2)) == 6
+    assert lattice.site_index(box, 6) == lattice.site_index(box, np.int32(6)) == 6
+    assert isinstance(lattice.site_index(box, np.int64(15)), int)
+    for bad in (-1, 16, (4, 0), (0, -1), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            lattice.site_index(box, bad)
 
 
 def test_edge_table_counts_and_endpoints():

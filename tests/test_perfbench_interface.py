@@ -40,6 +40,13 @@ def test_traced_functions_resolve(layers):
             assert callable(getattr(mod, name, None)), f"{mod.__name__}.{name}"
 
 
+def test_lattice_tables_keep_their_caches(layers):
+    # clear_tables and table_builds call these on the traced names
+    for table in layers.LATTICE_TABLES:
+        assert callable(getattr(table, "cache_clear", None)), table.__name__
+        assert callable(getattr(table, "cache_info", None)), table.__name__
+
+
 def test_traced_methods_are_own_class_attributes(layers):
     for cls, attr, _ in layers.METHODS:
         assert attr in cls.__dict__, f"{cls.__qualname__}.{attr}"
