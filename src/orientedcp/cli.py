@@ -25,7 +25,7 @@ from .lattice import BoxSpec
 from .reporting import (as_bool, as_float, as_floats, as_int, as_ints, as_str,
                         line_chart, load_config, manifest_digest, write_csv,
                         write_json, write_manifest, write_text)
-from .weights import WeightDistribution, sample_field, seed_key
+from .weights import WeightDistribution, annealed_map, seed_key
 
 _REQ = object()
 
@@ -165,15 +165,14 @@ def _cmd_simulate(cfg, dist, out, jobs, digest):
         start = kinetics.Configuration.all_infected(box, mode=mode)
     else:
         raise ValueError(f"start must be all or origin, got {cfg['start']!r}")
-    key = seed_key(cfg["seed"])
-    rows = []
-    for r in range(cfg["reps"]):
-        fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 0]))
-        res = kinetics.run(start, fld, cfg["lambda"], horizon,
-                           seed=np.random.SeedSequence(key + [r, 1]),
-                           sample_times=times)
-        for t, count, mass in res.occupancy_trace:
-            rows.append((r, t, count, mass / box.n_vertices))
+
+    def trial(fld, stream):
+        return kinetics.run(start, fld, cfg["lambda"], horizon, seed=stream(1),
+                            sample_times=times).occupancy_trace
+
+    traces = annealed_map(trial, dist, box, cfg["reps"], cfg["seed"])
+    rows = [(r, t, count, mass / box.n_vertices)
+            for r, trace in enumerate(traces) for t, count, mass in trace]
     write_csv(os.path.join(out, "trace.csv"),
               ["run_id", "t", "n_infected", "rho_weighted_occupancy"], rows, digest)
     return ["trace.csv"]

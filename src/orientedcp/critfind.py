@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import harris, kinetics
 from .errors import ScanError
 from .kinetics import Configuration, run, weighted_origin_occupancy
 from .lattice import BoxSpec
-from .weights import WeightDistribution, chunked_sum, sample_field, seed_key
+from .weights import WeightDistribution, annealed_map, seed_key
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,8 @@ class SurvivalEstimate:
     box_converged: bool | None = None   # set only when a doubling check ran
 
 
-def _survival_chunk(args) -> int:
-    desc, d, side, lam, horizon, key, r0, r1 = args
-    dist = WeightDistribution.from_descriptor(desc)
-    box = BoxSpec(d=d, side=side)
-    start = Configuration.single_seed(box)  # run never modifies it
-    hits = 0
-    for r in range(r0, r1):
-        fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 0]))
-        res = run(start, fld, lam, horizon,
-                  seed=np.random.SeedSequence(key + [r, 1]))
-        hits += res.survived
-    return hits
+def _survives(start, lam, horizon, fld, stream) -> bool:
+    return run(start, fld, lam, horizon, seed=stream(1)).survived
 
 
 def survival_probability(dist: WeightDistribution, d: int, side: int, lam: float,
@@ -57,15 +48,15 @@ def survival_probability(dist: WeightDistribution, d: int, side: int, lam: float
                          jobs: int = 1) -> SurvivalEstimate:
     """Fresh weight field per replicate, infection from the origin corner.
 
-    Replicate seeds depend on the replicate index only, so the answer is
-    invariant under jobs (chunks just partition the index range).
+    Replicates run through ``annealed_map``, so the answer does not depend
+    on ``jobs``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    hits = chunked_sum(_survival_chunk, (dist.descriptor(), d, side, lam, horizon,
-                                         seed_key(seed)), reps, jobs)
+    box = BoxSpec(d=d, side=side)
+    start = Configuration.single_seed(box)  # run never modifies it
+    hits = sum(annealed_map(partial(_survives, start, lam, horizon), dist, box,
+                            reps, seed, jobs))
     p = hits / reps
     return SurvivalEstimate(lam=float(lam), d=d, side=side, horizon=float(horizon),
                             reps=reps, p_hat=p, se=math.sqrt(p * (1.0 - p) / reps))
@@ -85,17 +76,15 @@ def survival_indicators_nested(dist: WeightDistribution, d: int, side: int,
     if any(l <= 0 for l in lams):
         raise ValueError("rates must be positive")
     lam_max = max(lams)
-    box = BoxSpec(d=d, side=side)
-    key = seed_key(seed)
-    ind = np.zeros((reps, len(lams)), dtype=bool)
-    for r in range(reps):
-        fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 0]))
-        rep = harris.build(box, fld, lam_max, horizon,
-                           np.random.SeedSequence(key + [r, 1]))
-        thinned = harris.thin_arrows(rep, [l / lam_max for l in lams],
-                                     np.random.SeedSequence(key + [r, 2]))
-        for k, th in enumerate(thinned):
-            ind[r, k] = bool(harris.percolate_forward(th, [0]))
+    fractions = [l / lam_max for l in lams]
+
+    def trial(fld, stream):
+        rep = harris.build(fld.box, fld, lam_max, horizon, stream(1))
+        return [bool(harris.percolate_forward(th, [0]))
+                for th in harris.thin_arrows(rep, fractions, stream(2))]
+
+    ind = np.array(annealed_map(trial, dist, BoxSpec(d=d, side=side), reps, seed),
+                   dtype=bool)
     ests = []
     for k, lam in enumerate(lams):
         p = float(ind[:, k].mean())

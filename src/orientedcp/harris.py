@@ -19,14 +19,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import groupby
 
 import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
-from .weights import (WeightDistribution, WeightField, chunked_sum, rng_from,
-                      sample_field, seed_key)
+from .weights import (WeightDistribution, WeightField, annealed_map, rng_from,
+                      sample_field)
 
 _MARK, _ARROW = 0, 1
 
@@ -254,6 +255,17 @@ class DualityEstimate:
         return math.sqrt(sa * sa + sb * sb)
 
 
+def _annealed_trial(dist, lam, horizon, apex, fld, stream) -> tuple:
+    """The three indicators of one replicate, each on its own field and rep."""
+    box = fld.box
+    rep = build(box, fld, lam, horizon, stream(1))
+    fwd_all = apex in percolate_forward(rep, "all")
+    rep = build(box, sample_field(dist, box, stream(2)), lam, horizon, stream(3))
+    dual = bool(percolate_dual(rep, [apex]))
+    rep = build(box, sample_field(dist, box, stream(4)), lam, horizon, stream(5))
+    return fwd_all, dual, bool(percolate_forward(rep, [0]))
+
+
 def duality_annealed(dist: WeightDistribution, box: BoxSpec, lam: float,
                      horizon: float, reps: int, seed: int) -> DualityEstimate:
     """Estimate the three annealed indicators with separate random streams.
@@ -264,26 +276,9 @@ def duality_annealed(dist: WeightDistribution, box: BoxSpec, lam: float,
     that exchanges the two edge orientations without changing the i.i.d.
     environment.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    apex = lattice.vertex_index(box, box.apex)
-    key = seed_key(seed)
-    counts = [0, 0, 0]
-    for r in range(reps):
-        fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 0]))
-        rep = build(box, fld, lam, horizon, np.random.SeedSequence(key + [r, 1]))
-        if apex in percolate_forward(rep, "all"):
-            counts[0] += 1
-
-        fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 2]))
-        rep = build(box, fld, lam, horizon, np.random.SeedSequence(key + [r, 3]))
-        if percolate_dual(rep, [apex]):
-            counts[1] += 1
-
-        fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 4]))
-        rep = build(box, fld, lam, horizon, np.random.SeedSequence(key + [r, 5]))
-        if percolate_forward(rep, [0]):
-            counts[2] += 1
+    trial = partial(_annealed_trial, dist, lam, horizon,
+                    lattice.vertex_index(box, box.apex))
+    counts = [sum(col) for col in zip(*annealed_map(trial, dist, box, reps, seed))]
     ps = [c / reps for c in counts]
     ses = [math.sqrt(p * (1.0 - p) / reps) for p in ps]
     return DualityEstimate(p_forward_all=ps[0], p_dual_process=ps[1],
@@ -304,41 +299,27 @@ class CheckReport:
         return 1.0 - self.failures / self.reps
 
 
-def _check_chunk(args) -> int:
-    what, desc, d, side, lam, horizon, key, r0, r1 = args
-    dist = WeightDistribution.from_descriptor(desc)
-    box = BoxSpec(d, side)
-    bad = 0
-    for r in range(r0, r1):
-        fld = sample_field(dist, box, np.random.SeedSequence(key + [r, 0]))
-        rep = build(box, fld, lam, horizon, np.random.SeedSequence(key + [r, 1]))
-        if what == "duality":
-            fwd, rev = duality_check(rep)
-            bad += int(fwd != rev)
-        else:
-            bad += int(not removal_coupling_check(rep))
-    return bad
+def _duality_trial(lam, horizon, fld, stream) -> bool:
+    fwd, rev = duality_check(build(fld.box, fld, lam, horizon, stream(1)))
+    return fwd != rev
 
 
-def _sweep_check(what: str, dist: WeightDistribution, box: BoxSpec, lam: float,
-                 horizon: float, reps: int, seed, jobs: int) -> CheckReport:
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    bad = chunked_sum(_check_chunk, (what, dist.descriptor(), box.d, box.side,
-                                     lam, horizon, seed_key(seed)), reps, jobs)
-    return CheckReport(reps=reps, failures=bad)
+def _coupling_trial(lam, horizon, fld, stream) -> bool:
+    return not removal_coupling_check(build(fld.box, fld, lam, horizon, stream(1)))
 
 
 def duality_sweep(dist: WeightDistribution, box: BoxSpec, lam: float,
                   horizon: float, reps: int, seed, jobs: int = 1) -> CheckReport:
     """Run duality_check on fresh realizations; count disagreements."""
-    return _sweep_check("duality", dist, box, lam, horizon, reps, seed, jobs)
+    bad = annealed_map(partial(_duality_trial, lam, horizon), dist, box, reps, seed, jobs)
+    return CheckReport(reps=reps, failures=sum(bad))
 
 
 def coupling_sweep(dist: WeightDistribution, box: BoxSpec, lam: float,
                    horizon: float, reps: int, seed, jobs: int = 1) -> CheckReport:
     """Run removal_coupling_check on fresh realizations; count violations."""
-    return _sweep_check("coupling", dist, box, lam, horizon, reps, seed, jobs)
+    bad = annealed_map(partial(_coupling_trial, lam, horizon), dist, box, reps, seed, jobs)
+    return CheckReport(reps=reps, failures=sum(bad))
 
 
 def _stream_order(rep: GraphicalRep) -> np.ndarray:

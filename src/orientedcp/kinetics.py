@@ -45,8 +45,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
-from .weights import (WeightDistribution, WeightField, rng_from, sample_field,
-                      seed_key)
+from .weights import WeightDistribution, WeightField, annealed_map, rng_from
 
 ETA = "eta"
 ETA_HAT = "eta_hat"
@@ -303,19 +302,20 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
     apex = lattice.vertex_index(box, box.apex)
     positive = [t for t in ts if t > 0]
 
-    key = seed_key(seed)
     sums = np.zeros(len(positive))
     sqsums = np.zeros(len(positive))
     if positive:
         start = Configuration.single_seed(box, box.apex, mode=ETA_HAT)
-        for rep_i in range(reps):
-            fld = sample_field(dist, box, np.random.SeedSequence(key + [rep_i, 0]))
-            res = run(start, fld, lam, horizon=tmax,
-                      seed=np.random.SeedSequence(key + [rep_i, 1]),
+
+        def trial(fld, stream):
+            res = run(start, fld, lam, horizon=tmax, seed=stream(1),
                       sample_times=positive)
-            w_apex = fld.weights[apex]
-            for j, (_, count, _) in enumerate(res.occupancy_trace):
-                if count > 0:
+            return fld.weights[apex], [count > 0 for _, count, _ in res.occupancy_trace]
+
+        # summed in replicate order, as the float sums depend on it
+        for w_apex, alive in annealed_map(trial, dist, box, reps, seed):
+            for j, hit in enumerate(alive):
+                if hit:
                     sums[j] += w_apex
                     sqsums[j] += w_apex * w_apex
 

@@ -227,7 +227,8 @@ def meet_probability(d: int, horizon: int, samples: int, seed=None) -> MeetEstim
     tau = first positive step count with equal positions.  Step 1 is
     reported separately (its probability is exactly 1/d); q_hat estimates
     P(2 <= tau <= horizon).  Rows are retired at their first meet and the
-    working set compacted when enough of them have retired.
+    working set compacted when enough of them have retired; stepping stops
+    once none is left.
     """
     if d < 2:
         raise ValueError("d must be >= 2; in one dimension the walks never separate")
@@ -253,6 +254,8 @@ def meet_probability(d: int, horizon: int, samples: int, seed=None) -> MeetEstim
             keep = ~done
             diff = diff.reshape(-1, d)[keep].ravel()
             l1 = l1[keep]
+            if not l1.size:
+                break
             done = np.zeros(len(l1), dtype=bool)
             base = np.arange(len(l1)) * d
     q = count2 / samples
@@ -266,7 +269,8 @@ def meet_probability(d: int, horizon: int, samples: int, seed=None) -> MeetEstim
 class FunctionalEstimate:
     """MC average of the collision integrand over complete records.
 
-    value is None when every sampled record was cut off by the horizon;
+    value is None when every sampled record was cut off by the horizon, and
+    se is None when fewer than two records are kept;
     m_sums[m] is the contribution to value from records with exactly m
     episodes (they sum to value); diverging flags growth of consecutive
     m-sums from m=1 on, the empirical signature that the pair-moment series
@@ -359,7 +363,7 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
                                   censored_fraction=1.0, m_sums=(), diverging=False)
     kept = values[keep]
     value = float(kept.mean())
-    se = float(kept.std(ddof=1) / math.sqrt(n_keep)) if n_keep > 1 else math.inf
+    se = float(kept.std(ddof=1) / math.sqrt(n_keep)) if n_keep > 1 else None
     tk = t_count[keep]
     sums = []
     for m in range(int(tk.max()) + 1):

@@ -3,6 +3,13 @@
 Every law is a finite table of nonnegative support values with probabilities.
 Continuous densities enter only through a quadrature discretisation, so all
 moment computations downstream are exact sums over the table.
+
+Annealed estimates draw a fresh field and fresh dynamics per replicate,
+and ``annealed_map`` is the one loop that runs them.  Channel c of
+replicate r is the stream ``SeedSequence(seed_key(seed) + [r, c])``:
+channel 0 draws the field, channels 1, 2, ... the trial's own randomness.
+Streams depend on the replicate index alone, so no result depends on the
+number of jobs.
 """
 
 from __future__ import annotations
@@ -185,22 +192,6 @@ def seed_key(seed) -> list:
                     f"got {type(seed).__name__}")
 
 
-def chunked_sum(fn, head: tuple, reps: int, jobs: int):
-    """Sum of ``fn(head + (r0, r1))`` over ``jobs`` chunks of range(reps).
-
-    One job runs in-process; more use a process pool.  Callers seed each
-    replicate from its index alone, so the sum does not depend on ``jobs``.
-    """
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        return fn(head + (0, reps))
-    from concurrent.futures import ProcessPoolExecutor
-    edges = np.linspace(0, reps, jobs + 1).astype(int)
-    work = [head + (int(edges[i]), int(edges[i + 1])) for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(fn, work))
-
-
 def rng_from(seed) -> np.random.Generator:
     """The one seed-to-Generator step used by every sampler.
 
@@ -225,6 +216,38 @@ def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
     w = dist.sample(rng_from(seed), box.n_vertices)
     stored = key[0] if len(key) == 1 else key
     return WeightField(box=box, weights=w, seed=stored, descriptor=dist.descriptor())
+
+
+def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
+                 jobs: int = 1) -> list:
+    """``trial(fld, stream)`` over replicates 0..reps-1, results in replicate order.
+
+    ``fld`` is drawn from ``stream(0)``, and ``stream(c)`` is the replicate's
+    channel c (see the module docstring).  More than one job splits
+    range(reps) over a process pool; ``trial`` must then pickle (a
+    module-level function or a ``functools.partial`` of one).
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    key = seed_key(seed)
+    jobs = max(1, int(jobs))
+    if jobs == 1:
+        return _replicates(trial, dist, box, key, 0, reps)
+    from concurrent.futures import ProcessPoolExecutor
+    edges = np.linspace(0, reps, jobs + 1).astype(int).tolist()
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = [pool.submit(_replicates, trial, dist, box, key, r0, r1)
+                 for r0, r1 in zip(edges, edges[1:])]
+        return [out for part in parts for out in part.result()]
+
+
+def _replicates(trial, dist, box, key, r0, r1) -> list:
+    out = []
+    for r in range(r0, r1):
+        def stream(c, r=r):
+            return np.random.SeedSequence(key + [r, c])
+        out.append(trial(sample_field(dist, box, stream(0)), stream))
+    return out
 
 
 def constant_field(value: float, box: BoxSpec) -> WeightField:

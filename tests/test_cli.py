@@ -126,6 +126,19 @@ def test_functional_cli(tmp_path):
     assert sum(s for _, s in payload["m_sums"]) == pytest.approx(payload["value"])
 
 
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+def test_functional_cli_single_sample_is_strict_json(tmp_path):
+    rc, out = _run(tmp_path, "functional", "d=3", "lambda=0.3", "samples=1",
+                   "horizon=64")
+    assert rc == 0
+    with open(os.path.join(out, "functional.json")) as fh:
+        payload = json.loads(fh.read(), parse_constant=_reject_constant)
+    assert payload["se"] is None
+
+
 def test_critscan_cli(tmp_path):
     rc, out = _run(tmp_path, "critscan", "d=2", "L=5", "horizon=6.0",
                    "reps_per_probe=150", "tol=0.1", "check_box=false")

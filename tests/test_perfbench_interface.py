@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from orientedcp import harris
+from orientedcp import critfind, harris
 from orientedcp.lattice import BoxSpec
-from orientedcp.weights import constant_field
+from orientedcp.weights import WeightDistribution, constant_field
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -67,3 +67,26 @@ def test_install_then_uninstall_restores_every_original(layers):
     after = _bindings(layers)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_replicate_loops_reach_the_traced_layers(layers):
+    # the tracer rebinds module globals, so a replicate loop that held the
+    # layer functions in a default argument or a captured local would leave
+    # their per-layer metrics at 0 without any error
+    dist = WeightDistribution.two_point(0.7)
+    calls = (
+        (lambda: critfind.survival_probability(dist, 2, 4, 0.8, 2.0, reps=3, seed=1),
+         "kinetics.run"),
+        (lambda: harris.duality_sweep(dist, BoxSpec(2, 4), 0.8, 2.0, reps=3, seed=1),
+         "harris.build"),
+    )
+    for call, layer in calls:
+        tracer = layers.Tracer()
+        tracer.install(0)
+        try:
+            call()
+        finally:
+            tracer.uninstall()
+        names = [span[3] for span in tracer.spans]
+        assert names.count("weights.sample_field") == 3
+        assert names.count(layer) == 3, layer

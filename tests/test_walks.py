@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,26 @@ def test_meet_probability_validation_and_determinism():
     a = meet_probability(3, horizon=64, samples=500, seed=7)
     b = meet_probability(3, horizon=64, samples=500, seed=7)
     assert a == b
+
+
+def test_meet_probability_stops_when_every_pair_has_met():
+    # at d=2 every row can meet before a compaction step, which used to leave
+    # an empty working set that warned "Mean of empty slice"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = meet_probability(2, 600, 1, seed=0)
+        twenty = meet_probability(2, 600, 20, seed=2)
+    assert (one.tau1_fraction, one.q_hat, one.se, one.censored_fraction) == \
+        (1.0, 0.0, 0.0, 0.0)
+    assert (twenty.tau1_fraction, twenty.q_hat, twenty.censored_fraction) == \
+        (0.45, 0.55, 0.0)
+    assert twenty.se == 0.11124297730643495
+
+
+def test_functional_se_is_none_below_two_records():
+    est = collision_functional(CONST, 10, 0.15, samples=1, horizon=200, seed=0)
+    assert est.value == 2.6449999999999996
+    assert est.se is None
 
 
 def test_functional_m_sums_account_for_value():

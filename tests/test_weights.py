@@ -1,13 +1,17 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from orientedcp import weights
+from orientedcp import cli, critfind, harris, kinetics, weights
 from orientedcp.lattice import BoxSpec
-from orientedcp.weights import (WeightDistribution, constant_field, load_field,
-                                rng_from, sample_field, save_field, seed_key)
+from orientedcp.reporting import read_csv
+from orientedcp.weights import (WeightDistribution, annealed_map, constant_field,
+                                load_field, rng_from, sample_field, save_field,
+                                seed_key)
 
 
 def _moments(dist):
@@ -154,3 +158,87 @@ def test_rng_from_matches_seed_sequence_streams():
         assert np.array_equal(rng_from(seed).random(8), want)
     gen = np.random.default_rng(3)
     assert rng_from(gen) is gen
+
+
+def _record(fld, stream):
+    # module level, so the process pool can pickle it
+    return [fld.weights.tolist(), stream(1).entropy, stream(3).entropy]
+
+
+def test_annealed_map_streams_and_order():
+    box = BoxSpec(d=2, side=3)
+    dist = WeightDistribution.from_table([0.3, 1.1, 1.7], [0.2, 0.5, 0.3])
+    seed = [9, 4]
+    out = annealed_map(_record, dist, box, 5, seed)
+    assert len(out) == 5
+    for r, (w, e1, e3) in enumerate(out):
+        want = sample_field(dist, box, np.random.SeedSequence(seed_key(seed) + [r, 0]))
+        assert w == want.weights.tolist()
+        assert e1 == seed_key(seed) + [r, 1]
+        assert e3 == seed_key(seed) + [r, 3]
+    assert annealed_map(_record, dist, box, 5, seed, jobs=2) == out
+
+
+def test_annealed_map_rejects_zero_reps():
+    box = BoxSpec(d=2, side=3)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        annealed_map(_record, WeightDistribution.constant(1.0), box, 0, seed=1)
+
+
+# Outputs of every replicate loop that runs on annealed_map, frozen before
+# the loops moved onto it: any change to how a replicate draws its field or
+# its streams, or to the order results are combined in, moves these.
+TWO_POINT = WeightDistribution.two_point(0.7)
+
+
+def test_survival_probability_golden():
+    for jobs in (1, 2):
+        est = critfind.survival_probability(TWO_POINT, 2, 5, 0.9, 4.0, 60, seed=11,
+                                            jobs=jobs)
+        assert est.p_hat == 8 / 60
+
+
+def test_survival_indicators_nested_golden():
+    ests, ind = critfind.survival_indicators_nested(TWO_POINT, 2, 4, [0.5, 0.8, 1.2],
+                                                    3.0, 40, seed=8)
+    assert ind.shape == (40, 3) and ind.sum(axis=0).tolist() == [5, 7, 9]
+    assert hashlib.sha256(ind.tobytes()).hexdigest() == \
+        "228f73b2f2458b6270bcde2d68ab3452ffaba5b533d24dc681c3e6156676a136"
+    assert [e.p_hat for e in ests] == [5 / 40, 7 / 40, 9 / 40]
+
+
+def test_weighted_origin_occupancy_golden():
+    dist = WeightDistribution.from_table([0.3, 1.1, 1.7], [0.2, 0.5, 0.3])
+    occ = kinetics.weighted_origin_occupancy(dist, 2, 0.35, [0.0, 0.5, 1.5, 3.0], 40,
+                                             seed=9)
+    assert repr(occ.values) == "(1.12, 0.7050000000000003, 0.4624999999999999, 0.3225)"
+    assert repr(occ.standard_errors) == ("(0.0, 0.10018420534195992, "
+                                         "0.09979275399546807, 0.09229622825446336)")
+
+
+def test_duality_annealed_and_sweeps_golden():
+    box = BoxSpec(2, 4)
+    est = harris.duality_annealed(TWO_POINT, box, 0.8, 2.0, 50, seed=12)
+    assert (est.p_forward_all, est.p_dual_process, est.p_forward_origin) == \
+        (16 / 50, 14 / 50, 7 / 50)
+    for jobs in (1, 2):
+        for sweep in (harris.duality_sweep, harris.coupling_sweep):
+            rep = sweep(TWO_POINT, box, 0.8, 2.0, 40, seed=5, jobs=jobs)
+            assert (rep.reps, rep.failures) == (40, 0)
+
+
+@pytest.mark.parametrize("sets, digest", [
+    (["start=origin"],
+     "b950f11bf5ce9303cc4014c6c8c65f90bed9bf216030d638342d79fd9b40adea"),
+    (["start=all", "mode=zeta"],
+     "cc73638764e3069161b84286b2c49210f748bd1ffea8804cbdab83c59d4a2d43"),
+])
+def test_simulate_trace_golden(tmp_path, sets, digest):
+    out = str(tmp_path / "sim")
+    argv = ["simulate", "--out", out, "--seed", "4"]
+    for kv in ["lambda=0.9", "reps=3", "box.L=5", "horizon=3.0"] + sets:
+        argv += ["--set", kv]
+    assert cli.main(argv) == 0
+    _, _, rows = read_csv(os.path.join(out, "trace.csv"))
+    assert len(rows) == 24
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
