@@ -10,19 +10,31 @@ Three interacting-particle modes share one engine:
 - ``zeta``: as ``eta`` except that recovery removes the vertex permanently
   (state -1), so each vertex flips at most twice.
 
-The engine is a next-reaction scheme with one exponential clock per vertex,
-a lazy-deletion heap, and resampling of a vertex's clock whenever its total
-rate changes.  By memorylessness this reproduces the jump chain exactly.
-Given equal seeds and equal rate values it consumes randomness identically,
-which the scale-equivalence tests rely on.
+The engine is uniformized over the infected vertices (Marro and Dickman,
+*Nonequilibrium Phase Transitions in Lattice Models*, CUP 1999).  With M
+an upper bound on the weights, every infected vertex x carries one
+recovery slot of rate 1 and d transmission slots of rate lam * M^2, so
+events arrive at the total rate n_inf * (1 + d * lam * M^2) whatever the
+configuration.  An event picks x uniformly among the infected and one of
+its slots in proportion to rate.  A recovery removes x from the infected
+list by a swap with its last entry.  Transmission slot s aims at the s-th
+in-box target of x; a slot past the last one is a null event, which is
+how the absorbing boundary drops edges leaving the box.  A transmission to a
+healthy target y is accepted with probability rho(x) rho(y) / M^2, so the
+edge x -> y fires at rate lam * rho(x) * rho(y), the law of the process.
+Each event costs O(1) and needs no clock, heap or per-vertex rate.
 
-The event loop keeps its state where Python indexes it without boxing
-numpy scalars: vertex states in a ``bytearray`` (removed is byte 255; an
-int8 view reads -1 and serves the O(V) sample masks), pressure, ``rho`` and
-``lam * rho`` in ``array('d')``, clock versions in a list.  Exponential
-draws arrive in batches turned into lists, from 64 draws doubling to 8192,
-and are topped up before each event to the d + 1 it may consume.  They are
-read in stream order, so batch sizes change no result.
+M is the largest support value of the field's law (its descriptor), or
+the field's maximum when it has no descriptor.  A one-valued law accepts
+every transmission, and its runs draw no acceptance uniform; so a field
+rho = c at rate lam consumes the stream exactly as rho = 1 at rate
+lam * c^2 and reproduces it bit for bit.
+
+Vertex states live in a ``bytearray`` (removed is byte 255; an int8 view
+reads -1 and serves the probe), the infected vertices in a list.  Uniform
+draws arrive in batches turned into lists, from 64 draws doubling to
+8192, and are topped up before each event to the three it may consume.
+They are read in stream order, so batch sizes change no result.
 
 The decay profile f(t) = E[rho(apex) * 1{apex infected at t}] from the
 all-infected start is estimated through duality: in the graphical
@@ -36,9 +48,7 @@ whole box.
 
 from __future__ import annotations
 
-import heapq
 import math
-from array import array
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -104,28 +114,47 @@ class SimResult:
 
 
 _FIRST_BATCH, _BATCH_CAP = 64, 8192
+_DRAWS_PER_EVENT = 3  # time, vertex and slot, acceptance
 
 
 def _top_up(rng: np.random.Generator, buf: list, batch: int,
             need: int) -> tuple[list, int]:
-    """Append batches of exponential draws, doubling up to ``_BATCH_CAP``,
-    to the unread draws ``buf`` until it holds ``need``; return it and the
+    """Append batches of uniform draws, doubling up to ``_BATCH_CAP``, to
+    the unread draws ``buf`` until it holds ``need``; return it and the
     next batch size.
     """
     while len(buf) < need:
-        buf += rng.standard_exponential(batch).tolist()
+        buf += rng.random(batch).tolist()
         batch = min(2 * batch, _BATCH_CAP)
     return buf, batch
+
+
+def _weight_bound(fld: WeightField) -> tuple[float, bool]:
+    """Largest weight the field can hold, and whether it holds only that one.
+
+    Read from the law's support in the descriptor, which costs O(1);
+    a field without a descriptor is scanned.
+    """
+    desc = fld.descriptor
+    if "values" in desc:
+        support = [v for v, p in zip(desc["values"], desc["probs"]) if p > 0]
+        hi, lo = max(support), min(support)
+    else:
+        hi, lo = fld.weights.max(), fld.weights.min()
+    return float(hi), bool(lo == hi)
 
 
 def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         seed, sample_times=(), probe=None) -> SimResult:
     """Simulate from ``cfg`` at time 0 up to ``horizon`` and return the outcome.
 
-    ``sample_times`` requests (t, count, weighted mass) trace entries;
-    ``probe`` additionally records one vertex's state at those times.
-    Identical (cfg, fld, lam, horizon, seed) reproduce the result exactly.
-    Heap ties break on the vertex index.  ``cfg`` is not modified.
+    ``sample_times`` requests (t, count, weighted mass) trace entries at
+    times in [0, horizon]; a sample at an event time sees the state before
+    that event.  ``probe`` additionally records one vertex's state at those
+    times.  Each event reads two uniforms (its time step and its vertex
+    and slot) and a thinned transmission to a healthy target one more (see
+    the module docstring).  Identical (cfg, fld, lam, horizon, seed)
+    reproduce the result exactly.  ``cfg`` is not modified.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -133,118 +162,94 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if cfg.mode not in _MODES:
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    samples = sorted(float(t) for t in sample_times)
+    if samples and samples[0] < 0:
+        raise ValueError("sample times must be nonnegative")
+    if samples and samples[-1] > horizon:
+        raise ValueError(f"sample time {samples[-1]} lies past the horizon {horizon}")
 
     box = cfg.box
-    V = box.n_vertices
     rho = fld.weights
-    rho_c = array("d", rho.tobytes())
-    lam_rho = array("d", (lam * rho).tobytes())
-    # "dst" are the vertices whose infection rate reads this vertex's state.
+    # "dst" are the vertices that this vertex's infection can reach
     if cfg.mode == ETA_HAT:
         dst = lattice.in_neighbor_lists(box)
     else:
         dst = lattice.out_neighbor_lists(box)
-    # one event resamples at most its vertex and that vertex's dst
-    per_event = box.d + 1
     # a removed vertex is byte 255 here and reads -1 through the int8 view
     after_recovery = REMOVED & 0xFF if cfg.mode == ZETA else HEALTHY
     states = bytearray(cfg.states.tobytes())
     view = np.frombuffer(states, dtype=np.int8)
-    pressure = array("d", bytes(8 * V))
     infected = np.flatnonzero(cfg.states == INFECTED).tolist()
     n_inf = len(infected)
-    touched = set(infected)  # only these can have a nonzero rate
-    for x in infected:
-        touched.update(dst[x])
-        for z in dst[x]:
-            pressure[z] += rho_c[x]
 
-    rng = rng_from(seed)
-    version = [0] * V
-    heap: list = []
-    push, pop = heapq.heappush, heapq.heappop
-    buf, batch = _top_up(rng, [], _FIRST_BATCH, len(touched))
-    i = 0
-    for x in sorted(touched):
-        version[x] = 1
-        s = states[x]
-        r = 1.0 if s == INFECTED else lam_rho[x] * pressure[x] if s == HEALTHY else 0.0
-        if r > 0.0:
-            push(heap, (buf[i] / r, x, 1))
-            i += 1
-    n = len(buf)
+    bound, one_valued = _weight_bound(fld)
+    sq_bound = bound * bound
+    slot_rate = lam * sq_bound
+    per_vertex = 1.0 + box.d * slot_rate
+    # memoryview indexing yields Python floats without an O(V) copy
+    weight = None if one_valued else memoryview(rho)
 
-    samples = sorted(float(t) for t in sample_times)
-    if samples and samples[0] < 0:
-        raise ValueError("sample times must be nonnegative")
     sptr = 0
     trace: list = []
     probe_trace: list | None = [] if probe is not None else None
 
-    def flush(up_to: float, alive: bool) -> float:
+    def flush(up_to: float) -> float:
         # record every pending sample time strictly before up_to and
-        # return the next pending one; a dead process needs no mask
+        # return the next pending one
         nonlocal sptr
-        while sptr < len(samples) and samples[sptr] < up_to and samples[sptr] <= horizon:
-            if alive:
-                mask = view == INFECTED
-                trace.append((samples[sptr], int(mask.sum()), float(rho[mask].sum())))
-            else:
-                trace.append((samples[sptr], 0, 0.0))
+        while sptr < len(samples) and samples[sptr] < up_to:
+            trace.append((samples[sptr], len(infected), float(rho[infected].sum())))
             if probe_trace is not None:
                 probe_trace.append((samples[sptr], int(view[probe])))
             sptr += 1
         return samples[sptr] if sptr < len(samples) else math.inf
 
     next_sample = samples[0] if samples else math.inf
-    extinction_time = 0.0 if n_inf == 0 else math.inf
-
-    while heap and n_inf > 0:
-        te, x, ver = pop(heap)
-        if ver != version[x]:
-            continue
-        if te > horizon:
-            break
-        if next_sample < te:
-            next_sample = flush(te, True)
-        if n - i < per_event:
-            buf, batch = _top_up(rng, buf[i:], batch, per_event)
+    rng = rng_from(seed)
+    buf, batch, i, n = [], _FIRST_BATCH, 0, 0
+    log1p = math.log1p
+    t = 0.0
+    while n_inf:
+        if n - i < _DRAWS_PER_EVENT:
+            buf, batch = _top_up(rng, buf[i:], batch, _DRAWS_PER_EVENT)
             i, n = 0, len(buf)
-        # x flips; its dst gain or lose x's weight as infection pressure
-        rx = rho_c[x]
-        if states[x] == INFECTED:
-            states[x] = after_recovery
-            n_inf -= 1
-            rx = -rx
-        else:
-            states[x] = INFECTED
-            n_inf += 1
-        for z in dst[x]:
-            pressure[z] += rx
-            if states[z] == HEALTHY:
-                v = version[z] + 1
-                version[z] = v
-                r = lam_rho[z] * pressure[z]
-                if r > 0.0:
-                    push(heap, (te + buf[i] / r, z, v))
-                    i += 1
-        v = version[x] + 1
-        version[x] = v
-        s = states[x]
-        r = 1.0 if s == INFECTED else lam_rho[x] * pressure[x] if s == HEALTHY else 0.0
-        if r > 0.0:
-            push(heap, (te + buf[i] / r, x, v))
-            i += 1
-        if n_inf == 0:
-            extinction_time = te
+        t -= log1p(-buf[i]) / (n_inf * per_vertex)
+        if t > horizon:
             break
+        if next_sample < t:
+            next_sample = flush(t)
+        u = buf[i + 1] * n_inf
+        i += 2
+        k = int(u)
+        x = infected[k]
+        u = (u - k) * per_vertex
+        if u < 1.0:
+            states[x] = after_recovery
+            last = infected.pop()
+            n_inf -= 1
+            if k < n_inf:
+                infected[k] = last
+            continue
+        targets = dst[x]
+        s = int((u - 1.0) / slot_rate)
+        if s >= len(targets):
+            continue
+        y = targets[s]
+        if states[y] != HEALTHY:
+            continue
+        if weight is not None:
+            accept = buf[i] * sq_bound < weight[x] * weight[y]
+            i += 1
+            if not accept:
+                continue
+        states[y] = INFECTED
+        infected.append(y)
+        n_inf += 1
 
-    flush(math.inf, n_inf > 0)
+    flush(math.inf)
     survived = n_inf > 0
-    if survived:
-        extinction_time = float(horizon)
     return SimResult(survived=survived,
-                     extinction_time=float(extinction_time),
+                     extinction_time=float(horizon) if survived else t,
                      occupancy_trace=trace,
                      probe_trace=probe_trace)
 

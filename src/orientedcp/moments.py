@@ -316,8 +316,7 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
 
 @dataclass(frozen=True)
 class SurvivalBound:
-    value: float                 # best second-moment lower bound found
-    best_n: int                  # path length achieving it (0 if none)
+    value: float                 # second-moment lower bound at n = n_max
     per_n: tuple                 # (n, ratio, bound) rows for n = 1..n_max
 
     def bound_at(self, n: int) -> float:
@@ -330,26 +329,24 @@ class SurvivalBound:
 def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: int,
                          walk_samples: int | None = None, seed=None,
                          use_bound: bool = False) -> SurvivalBound:
-    """max over n <= n_max of (E count)^2 / E count^2, clipped to [0, 1].
+    """(E count)^2 / E count^2 at n = n_max, clipped to [0, 1], with every n.
 
-    Each n gives P(some open n-path exists) >= 1/ratio, a valid lower bound
-    on reaching level n; the max over n is reported with the full trace.
-    n starts at 1: the empty path always exists and says nothing.
+    Each n gives P(some open n-path exists) >= 1/ratio_n.  That event
+    shrinks as n grows, so only the bound at the largest n speaks about
+    survival: the largest over n would be the n=1 bound, which says only
+    that the origin has an open out-edge.  n starts at 1: the empty path
+    always exists and says nothing.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if expected_path_count(dist, d, lam, 1) <= 0.0:
         rows = tuple((n, math.inf, 0.0) for n in range(1, n_max + 1))
-        return SurvivalBound(value=0.0, best_n=0, per_n=rows)
+        return SurvivalBound(value=0.0, per_n=rows)
     rows = []
-    best, best_n = 0.0, 0
     base = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
     children = base.spawn(n_max) if walk_samples is not None else [None] * n_max
     for n in range(1, n_max + 1):
         r = path_count_moment_ratio(dist, d, lam, n, walk_samples=walk_samples,
                                     seed=children[n - 1], use_bound=use_bound)
-        b = min(1.0, 1.0 / r.value)
-        rows.append((n, r.value, b))
-        if b > best:
-            best, best_n = b, n
-    return SurvivalBound(value=best, best_n=best_n, per_n=tuple(rows))
+        rows.append((n, r.value, min(1.0, 1.0 / r.value)))
+    return SurvivalBound(value=rows[-1][2], per_n=tuple(rows))

@@ -156,7 +156,12 @@ class WeightDistribution:
 
 @dataclass(frozen=True)
 class WeightField:
-    """One sampled i.i.d. weight assignment on a box, immutable after creation."""
+    """One sampled i.i.d. weight assignment on a box, immutable after creation.
+
+    ``descriptor`` is the law the weights were drawn from, or empty.
+    ``kinetics.run`` takes its weight bound from that law's support, so
+    every weight must lie in it.
+    """
 
     box: BoxSpec
     weights: np.ndarray  # (n_vertices,) float64, row-major

@@ -2,21 +2,25 @@
 
 The neighbour lists of one vertex, the per-vertex transition rates of a
 configuration, a replay of a fixed event table, the per-draw open-path
-count on an explicit full-box clock structure, and the one-step joint pass
-probability of a walk pair.  The package does not use them; the tests
+count on an explicit full-box clock structure, the one-step joint pass
+probability of a walk pair, and the next-reaction event loop that the
+uniformized ``kinetics.run`` replaced.  The package does not use them; the tests
 cross-check ``orientedcp`` against them, so they stay apart from the code
 they check.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from orientedcp import lattice
-from orientedcp.kinetics import (ETA_HAT, HEALTHY, INFECTED, REMOVED, ZETA,
-                                 Configuration)
+from orientedcp.kinetics import (_MODES, ETA_HAT, HEALTHY, INFECTED, REMOVED,
+                                 ZETA, Configuration, SimResult)
 from orientedcp.lattice import BoxSpec, in_box
 from orientedcp.moments import (edge_pass_probability,
                                 shared_source_pass_probability)
@@ -73,7 +77,7 @@ def run_on_events(cfg: Configuration, rep) -> np.ndarray:
 
     ``rep`` is a harris.GraphicalRep.  Recovery marks flip 1 -> 0 (or -> -1 in
     zeta mode); an arrow x -> y transmits x's infection to y (y's to x in
-    eta_hat mode).  This is the jump chain of the clock engine driven by
+    eta_hat mode).  This is the jump chain of ``kinetics.run`` driven by
     externally fixed event times; the tests compare its final states with
     ``harris.percolate_forward`` on the same rep.
     """
@@ -192,3 +196,154 @@ def count_paths(perc: PathPercolation, n: int) -> int:
             new[nb[src, i]] += counts[src] * opn[i, src]
         counts = new
     return int(round(counts.sum()))
+
+
+_FIRST_BATCH, _BATCH_CAP = 64, 8192
+
+
+def _top_up(rng: np.random.Generator, buf: list, batch: int,
+            need: int) -> tuple[list, int]:
+    """Append batches of exponential draws, doubling up to ``_BATCH_CAP``,
+    to the unread draws ``buf`` until it holds ``need``; return it and the
+    next batch size.
+    """
+    while len(buf) < need:
+        buf += rng.standard_exponential(batch).tolist()
+        batch = min(2 * batch, _BATCH_CAP)
+    return buf, batch
+
+
+def run_next_reaction(cfg: Configuration, fld: WeightField, lam: float,
+                      horizon: float, seed, sample_times=(),
+                      probe=None) -> SimResult:
+    """Next-reaction engine that ``kinetics.run`` replaced; same interface.
+
+    One exponential clock per vertex in a lazy-deletion heap, resampled
+    whenever the vertex's total rate changes.  Kept as an independent
+    cross-check of the uniformized engine's law.
+
+    ``sample_times`` requests (t, count, weighted mass) trace entries;
+    ``probe`` additionally records one vertex's state at those times.
+    Identical (cfg, fld, lam, horizon, seed) reproduce the result exactly.
+    Heap ties break on the vertex index.  ``cfg`` is not modified.
+    """
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if cfg.mode not in _MODES:
+        raise ValueError(f"unknown mode {cfg.mode!r}")
+
+    box = cfg.box
+    V = box.n_vertices
+    rho = fld.weights
+    rho_c = array("d", rho.tobytes())
+    lam_rho = array("d", (lam * rho).tobytes())
+    # "dst" are the vertices whose infection rate reads this vertex's state.
+    if cfg.mode == ETA_HAT:
+        dst = lattice.in_neighbor_lists(box)
+    else:
+        dst = lattice.out_neighbor_lists(box)
+    # one event resamples at most its vertex and that vertex's dst
+    per_event = box.d + 1
+    # a removed vertex is byte 255 here and reads -1 through the int8 view
+    after_recovery = REMOVED & 0xFF if cfg.mode == ZETA else HEALTHY
+    states = bytearray(cfg.states.tobytes())
+    view = np.frombuffer(states, dtype=np.int8)
+    pressure = array("d", bytes(8 * V))
+    infected = np.flatnonzero(cfg.states == INFECTED).tolist()
+    n_inf = len(infected)
+    touched = set(infected)  # only these can have a nonzero rate
+    for x in infected:
+        touched.update(dst[x])
+        for z in dst[x]:
+            pressure[z] += rho_c[x]
+
+    rng = rng_from(seed)
+    version = [0] * V
+    heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
+    buf, batch = _top_up(rng, [], _FIRST_BATCH, len(touched))
+    i = 0
+    for x in sorted(touched):
+        version[x] = 1
+        s = states[x]
+        r = 1.0 if s == INFECTED else lam_rho[x] * pressure[x] if s == HEALTHY else 0.0
+        if r > 0.0:
+            push(heap, (buf[i] / r, x, 1))
+            i += 1
+    n = len(buf)
+
+    samples = sorted(float(t) for t in sample_times)
+    if samples and samples[0] < 0:
+        raise ValueError("sample times must be nonnegative")
+    sptr = 0
+    trace: list = []
+    probe_trace: list | None = [] if probe is not None else None
+
+    def flush(up_to: float, alive: bool) -> float:
+        # record every pending sample time strictly before up_to and
+        # return the next pending one; a dead process needs no mask
+        nonlocal sptr
+        while sptr < len(samples) and samples[sptr] < up_to and samples[sptr] <= horizon:
+            if alive:
+                mask = view == INFECTED
+                trace.append((samples[sptr], int(mask.sum()), float(rho[mask].sum())))
+            else:
+                trace.append((samples[sptr], 0, 0.0))
+            if probe_trace is not None:
+                probe_trace.append((samples[sptr], int(view[probe])))
+            sptr += 1
+        return samples[sptr] if sptr < len(samples) else math.inf
+
+    next_sample = samples[0] if samples else math.inf
+    extinction_time = 0.0 if n_inf == 0 else math.inf
+
+    while heap and n_inf > 0:
+        te, x, ver = pop(heap)
+        if ver != version[x]:
+            continue
+        if te > horizon:
+            break
+        if next_sample < te:
+            next_sample = flush(te, True)
+        if n - i < per_event:
+            buf, batch = _top_up(rng, buf[i:], batch, per_event)
+            i, n = 0, len(buf)
+        # x flips; its dst gain or lose x's weight as infection pressure
+        rx = rho_c[x]
+        if states[x] == INFECTED:
+            states[x] = after_recovery
+            n_inf -= 1
+            rx = -rx
+        else:
+            states[x] = INFECTED
+            n_inf += 1
+        for z in dst[x]:
+            pressure[z] += rx
+            if states[z] == HEALTHY:
+                v = version[z] + 1
+                version[z] = v
+                r = lam_rho[z] * pressure[z]
+                if r > 0.0:
+                    push(heap, (te + buf[i] / r, z, v))
+                    i += 1
+        v = version[x] + 1
+        version[x] = v
+        s = states[x]
+        r = 1.0 if s == INFECTED else lam_rho[x] * pressure[x] if s == HEALTHY else 0.0
+        if r > 0.0:
+            push(heap, (te + buf[i] / r, x, v))
+            i += 1
+        if n_inf == 0:
+            extinction_time = te
+            break
+
+    flush(math.inf, n_inf > 0)
+    survived = n_inf > 0
+    if survived:
+        extinction_time = float(horizon)
+    return SimResult(survived=survived,
+                     extinction_time=float(extinction_time),
+                     occupancy_trace=trace,
+                     probe_trace=probe_trace)

@@ -229,6 +229,14 @@ def test_zero_reps_exits_2(tmp_path, capsys, name, sets):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_sample_time_past_horizon_exits_2(tmp_path, capsys):
+    rc, out = _run(tmp_path, "simulate", "lambda=0.5", "horizon=2.0",
+                   "sample_times=0.5,1,5")
+    assert rc == 2
+    assert "past the horizon 2.0" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_jobs_validation(tmp_path, capsys):
     rc, _ = _run(tmp_path, "walks", "d=2", extra=("--jobs", "0"))
     assert rc == 2

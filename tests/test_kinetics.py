@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _oracles import step_rates
+from _oracles import run_next_reaction, step_rates
 from orientedcp import kinetics, lattice
 from orientedcp.kinetics import (ETA, ETA_HAT, INFECTED, REMOVED, ZETA,
                                  Configuration, decay_envelope, run,
@@ -128,6 +128,99 @@ def test_two_vertex_chain_against_matrix_exponential():
     assert abs(p_hat - p_surv) <= 3.0 * se
 
 
+def _field_with_bound(box, weights, bound):
+    """A fixed field whose law's support tops out at ``bound``."""
+    support = sorted(set(weights)) + [bound]
+    law = WeightDistribution.from_table(support, [1 / len(support)] * len(support))
+    return kinetics.WeightField(box=box, weights=np.array(weights), seed=0,
+                                descriptor=law.descriptor())
+
+
+@pytest.mark.parametrize("mode", [ETA, ETA_HAT])
+@pytest.mark.parametrize("described", [True, False])
+def test_square_against_matrix_exponential(mode, described):
+    # d=2, L=1: 4 vertices, 16 states.  Unequal weights make the engine thin
+    # transmissions, and the corner vertices have fewer than d in-box
+    # targets, so some transmission slots are null events.  With a
+    # descriptor the weight bound (2.5) exceeds every weight in the field.
+    box = BoxSpec(d=2, side=1)
+    weights = [1.0, 0.5, 2.0, 1.5]
+    fld = (_field_with_bound(box, weights, 2.5) if described else
+           kinetics.WeightField(box=box, weights=np.array(weights), seed=0))
+    lam, t = 0.8, 1.5
+    Q = np.zeros((16, 16))
+    for s in range(16):
+        states = np.array([(s >> v) & 1 for v in range(4)], dtype=np.int8)
+        rates = step_rates(Configuration(box, states, mode=mode), fld, lam)
+        for v in range(4):
+            Q[s, s ^ (1 << v)] = rates[v]
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    seed_site, probe = (box.origin, 3) if mode == ETA else (box.apex, 0)
+    start = Configuration.single_seed(box, seed_site, mode=mode)
+    p_t = expm(Q * t)[1 << _idx(box, seed_site)]
+    counts = np.array([bin(s).count("1") for s in range(16)])
+    exact = {"survival": 1.0 - p_t[0],
+             "count": float(p_t @ counts),
+             "probe": float(sum(p_t[s] for s in range(16) if s >> probe & 1))}
+
+    reps = 4000
+    got = {key: [] for key in exact}
+    for r in range(reps):
+        res = run(start, fld, lam, t, seed=[19, r], sample_times=[t], probe=probe)
+        got["survival"].append(res.survived)
+        got["count"].append(res.occupancy_trace[0][1])
+        got["probe"].append(res.probe_trace[0][1] == INFECTED)
+    for key, want in exact.items():
+        vals = np.asarray(got[key], dtype=float)
+        se = vals.std() / math.sqrt(reps)
+        assert abs(vals.mean() - want) <= 3.0 * se, key
+
+
+def _engine_summary(engine, dist, mode, start, reps, seed):
+    """Per-replicate survival, extinction time and sampled counts."""
+    box, lam, horizon, times = BoxSpec(2, 4), 0.9, 3.0, [1.0, 2.0, 3.0]
+    cfg = start(box, mode=mode)
+    rows = []
+    for r in range(reps):
+        fld = sample_field(dist, box, [seed, r, 0])
+        res = engine(cfg, fld, lam / dist.second_moment, horizon,
+                     seed=[seed, r, 1], sample_times=times)
+        rows.append([res.survived, res.extinction_time]
+                    + [count for _, count, _ in res.occupancy_trace])
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("mode", [ETA, ETA_HAT, ZETA])
+@pytest.mark.parametrize("dist", [WeightDistribution.constant(1.0),
+                                  WeightDistribution.two_point(0.5),
+                                  WeightDistribution.two_point(0.5, 2.0, 0.5)],
+                         ids=["constant", "two_point", "two_point_2_half"])
+@pytest.mark.parametrize("start", [Configuration.single_seed,
+                                   Configuration.all_infected],
+                         ids=["origin", "all"])
+def test_uniformized_engine_matches_next_reaction(mode, dist, start):
+    # the same law through two unrelated event loops: survival, mean
+    # extinction time and the counts at each sample time agree within
+    # 3 joint standard errors (exactly when neither side varies)
+    reps = 300
+    new = _engine_summary(run, dist, mode, start, reps, seed=41)
+    old = _engine_summary(run_next_reaction, dist, mode, start, reps, seed=42)
+    for k in range(new.shape[1]):
+        joint = math.hypot(new[:, k].std(), old[:, k].std()) / math.sqrt(reps)
+        assert abs(new[:, k].mean() - old[:, k].mean()) <= 3.0 * joint, k
+
+
+def test_sample_time_past_horizon_rejected():
+    box = BoxSpec(d=2, side=3)
+    with pytest.raises(ValueError, match="past the horizon 2.0"):
+        run(Configuration.single_seed(box), constant_field(1.0, box), 0.5, 2.0,
+            seed=1, sample_times=[0.5, 1.0, 5.0])
+    # a sample exactly at the horizon is recorded
+    res = run(Configuration.single_seed(box), constant_field(1.0, box), 0.5, 2.0,
+              seed=1, sample_times=[2.0])
+    assert [t for t, _, _ in res.occupancy_trace] == [2.0]
+
+
 def test_run_determinism_bit_exact():
     box = BoxSpec(d=2, side=4)
     dist = WeightDistribution.two_point(0.6)
@@ -154,7 +247,7 @@ def _digest(rows) -> str:
 
 def test_run_golden_digests():
     # Fixed outputs of the engine: any change in how it consumes random
-    # draws, breaks heap ties or records samples moves these digests.
+    # draws, picks events or records samples moves these digests.
     rows = []
     for box in (BoxSpec(2, 6), BoxSpec(3, 4)):
         for mode in (ETA, ETA_HAT, ZETA):
@@ -162,13 +255,13 @@ def test_run_golden_digests():
                 for s in range(3):
                     fld = sample_field(WeightDistribution.two_point(0.5), box, [s, 1])
                     res = run(start(box, mode=mode), fld, 0.9, 6.0, seed=[s, 9],
-                              sample_times=[0.5, 1.0, 2.0, 7.5],
+                              sample_times=[0.5, 1.0, 2.0, 6.0],
                               probe=box.n_vertices - 1)
                     rows.append((res.survived, res.extinction_time,
                                  res.occupancy_trace, res.probe_trace))
     assert len(rows) == 36
     assert _digest(rows) == \
-        "1b649a1cdf0b6fc932cca7fc57fd450d7b7834e74ab37a47589f4cfe0df70a11"
+        "6803c5399a7e8d3f12fe6de081057b1e501f7656d73efa429f5a5388cc297f8c"
 
     # long supercritical runs that cross several batches of draws
     box = BoxSpec(3, 8)
@@ -178,9 +271,9 @@ def test_run_golden_digests():
         res = run(Configuration.single_seed(box), fld, 2 / 3, 16.0, seed=[5, r, 1],
                   sample_times=[4.0, 8.0, 15.0])
         rows.append((res.survived, res.extinction_time, res.occupancy_trace))
-    assert sum(row[0] for row in rows) == 9
+    assert sum(row[0] for row in rows) == 8
     assert _digest(rows) == \
-        "0df250edf587300a98cc885aad2fa98f828ab895e740d97dda14bcd43f648f0b"
+        "69e7de1858a93e0584c89d7768db0a55955c43412907326f1ba0f60468c6dd2a"
 
 
 def test_no_infection_without_in_edges():

@@ -317,15 +317,15 @@ def test_ratio_exhaustive_refusal():
 def test_survival_bound_supercritical():
     sb = survival_lower_bound(CONST, 2, 100.0, 6)
     assert 0.5 < sb.value <= 1.0
-    assert sb.best_n >= 1
-    assert sb.value == max(row[2] for row in sb.per_n)
+    assert [row[0] for row in sb.per_n] == [1, 2, 3, 4, 5, 6]
+    assert sb.value == sb.bound_at(6)
 
 
 def test_survival_bound_subcritical_decays():
     sb = survival_lower_bound(CONST, 2, 0.1, 4)
     bounds = [row[2] for row in sb.per_n]
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
-    assert sb.best_n == 1
+    assert sb.value == bounds[-1] < bounds[0]
     assert sb.bound_at(1) == bounds[0]
     with pytest.raises(KeyError):
         sb.bound_at(99)
@@ -334,7 +334,7 @@ def test_survival_bound_subcritical_decays():
 def test_survival_bound_degenerate_law():
     dead = WeightDistribution.two_point(0.0, strict=False)
     sb = survival_lower_bound(dead, 2, 1.0, 3)
-    assert sb.value == 0.0 and sb.best_n == 0
+    assert sb.value == 0.0
     assert all(row[2] == 0.0 for row in sb.per_n)
 
 
@@ -362,7 +362,8 @@ def test_count_paths_mc_golden_digest():
 
 def test_sampled_ratio_golden_digest():
     # Fixed outputs of the sampled moment ratio and the survival bound built
-    # on it: the walk draws, the pattern values and their averaging order.
+    # on it: the walk draws, the pattern values and their averaging order,
+    # and the bound at n_max.
     rows = []
     for dist in LAWS[:2]:
         for d in (2, 3, 5):
@@ -373,7 +374,7 @@ def test_sampled_ratio_golden_digest():
                     rows.append((float(r.value), float(r.se),
                                  float(r.numerator), float(r.denominator)))
     sb = survival_lower_bound(LAWS[1], 3, 0.6, 6, walk_samples=1000, seed=4)
-    rows.append((float(sb.value), sb.best_n, sb.per_n))
+    rows.append((float(sb.value), sb.per_n))
     assert len(rows) == 37
     assert _digest(rows) == \
-        "992627b843895926ad84f61f7556cf47273f4accaf0587b5522c0248df9e3fcf"
+        "35118aaf19eb3746d90993217660189feb6c474c67960d2d19a77b1cab17329a"
