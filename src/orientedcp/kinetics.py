@@ -24,9 +24,10 @@ healthy target y is accepted with probability rho(x) rho(y) / M^2, so the
 edge x -> y fires at rate lam * rho(x) * rho(y), the law of the process.
 Each event costs O(1) and needs no clock, heap or per-vertex rate.
 
-M is the largest support value of the field's law (its descriptor), or
-the field's maximum when it has no descriptor.  A one-valued law accepts
-every transmission, and its runs draw no acceptance uniform; so a field
+M is the largest support value of the field's law, or the field's
+maximum when it has no law (``WeightField.span``, checked against the
+weights when the field is built).  A one-valued law accepts every
+transmission, and its runs draw no acceptance uniform; so a field
 rho = c at rate lam consumes the stream exactly as rho = 1 at rate
 lam * c^2 and reproduces it bit for bit.
 
@@ -129,27 +130,12 @@ def _top_up(rng: np.random.Generator, buf: list, batch: int,
     return buf, batch
 
 
-def _weight_bound(fld: WeightField) -> tuple[float, bool]:
-    """Largest weight the field can hold, and whether it holds only that one.
-
-    Read from the law's support in the descriptor, which costs O(1);
-    a field without a descriptor is scanned.
-    """
-    desc = fld.descriptor
-    if "values" in desc:
-        support = [v for v, p in zip(desc["values"], desc["probs"]) if p > 0]
-        hi, lo = max(support), min(support)
-    else:
-        hi, lo = fld.weights.max(), fld.weights.min()
-    return float(hi), bool(lo == hi)
-
-
 def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         seed, sample_times=(), probe=None) -> SimResult:
     """Simulate from ``cfg`` at time 0 up to ``horizon`` and return the outcome.
 
     ``sample_times`` requests (t, count, weighted mass) trace entries at
-    times in [0, horizon]; a sample at an event time sees the state before
+    times in [0, horizon]; a sample at an event time sees the state after
     that event.  ``probe`` additionally records one vertex's state at those
     times.  Each event reads two uniforms (its time step and its vertex
     and slot) and a thinned transmission to a healthy target one more (see
@@ -182,12 +168,12 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     infected = np.flatnonzero(cfg.states == INFECTED).tolist()
     n_inf = len(infected)
 
-    bound, one_valued = _weight_bound(fld)
+    lo, bound = fld.span
     sq_bound = bound * bound
     slot_rate = lam * sq_bound
     per_vertex = 1.0 + box.d * slot_rate
     # memoryview indexing yields Python floats without an O(V) copy
-    weight = None if one_valued else memoryview(rho)
+    weight = None if lo == bound else memoryview(rho)
 
     sptr = 0
     trace: list = []

@@ -115,7 +115,7 @@ class WeightDistribution:
     @property
     def bound(self) -> float:
         """Supremum of the support (largest value carrying mass)."""
-        return float(max(v for v, p in zip(self.values, self.probs) if p > 0))
+        return _support_span(self.values, self.probs)[1]
 
     @property
     def label(self) -> str:
@@ -154,26 +154,46 @@ class WeightDistribution:
         return np.asarray(self.values, dtype=np.float64)[idx]
 
 
+def _support_span(values, probs) -> tuple[float, float]:
+    """Smallest and largest support value carrying mass."""
+    support = [v for v, p in zip(values, probs) if p > 0]
+    return float(min(support)), float(max(support))
+
+
 @dataclass(frozen=True)
 class WeightField:
     """One sampled i.i.d. weight assignment on a box, immutable after creation.
 
     ``descriptor`` is the law the weights were drawn from, or empty.
-    ``kinetics.run`` takes its weight bound from that law's support, so
-    every weight must lie in it.
+    ``span`` is the (smallest, largest) support value of that law, or the
+    field's own extremes without a descriptor; ``kinetics.run`` takes its
+    weight bound from it.  Construction rejects weights outside the span.
     """
 
     box: BoxSpec
     weights: np.ndarray  # (n_vertices,) float64, row-major
     seed: int
     descriptor: dict = dc_field(default_factory=dict, compare=False)
+    span: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.box.n_vertices,):
             raise ValueError(f"weights shape {w.shape} != ({self.box.n_vertices},)")
+        if w.base is not None:
+            w = w.copy()  # a view could still change through its base
+        lo, hi = float(np.minimum.reduce(w)), float(np.maximum.reduce(w))
+        if not 0.0 <= lo <= hi < np.inf:
+            raise ValueError(f"weights must be finite and nonnegative, got [{lo}, {hi}]")
+        span = (lo, hi)
+        if self.descriptor:
+            span = _support_span(self.descriptor["values"], self.descriptor["probs"])
+            if not span[0] <= lo <= hi <= span[1]:
+                raise ValueError(f"weights [{lo}, {hi}] leave the law's support "
+                                 f"[{span[0]}, {span[1]}]")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "span", span)
 
     def grid(self) -> np.ndarray:
         return self.weights.reshape(self.box.shape)

@@ -111,6 +111,29 @@ def test_weight_field_readonly_and_grid():
     with pytest.raises(ValueError):
         fld.weights[0] = 9.0
     assert fld.grid().shape == (4, 4)
+    # a view's base can no longer reach the field's weights
+    base = np.ones(box.n_vertices + 1)
+    fld = weights.WeightField(box=box, weights=base[1:], seed=0)
+    base[1] = 9.0
+    assert fld.weights[0] == 1.0
+
+
+def test_weight_field_span_and_rejections():
+    box = BoxSpec(d=2, side=1)
+    w = np.array([1.0, 0.5, 2.0, 1.5])
+    assert weights.WeightField(box=box, weights=w, seed=0).span == (0.5, 2.0)
+    law = WeightDistribution.from_table([0.5, 1.0, 2.5], [0.5, 0.5, 0.0])
+    assert sample_field(law, box, 3).span == (0.5, 1.0)
+    # kinetics.run thins against the law's span, so a descriptor that does
+    # not cover the weights would run them under the wrong law
+    for values, probs in [((2.5,), (1.0,)), ((1.0, 2.5), (0.5, 0.5)),
+                          ((0.5, 1.5, 2.0), (0.5, 0.5, 0.0))]:
+        desc = WeightDistribution.from_table(values, probs).descriptor()
+        with pytest.raises(ValueError, match="leave the law's support"):
+            weights.WeightField(box=box, weights=w, seed=0, descriptor=desc)
+    for bad in (-0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            weights.WeightField(box=box, weights=np.append(w[:3], bad), seed=0)
 
 
 def test_save_load_roundtrip(tmp_path):
