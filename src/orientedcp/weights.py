@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -165,16 +166,12 @@ class WeightField:
     """One sampled i.i.d. weight assignment on a box, immutable after creation.
 
     ``descriptor`` is the law the weights were drawn from, or empty.
-    ``span`` is the (smallest, largest) support value of that law, or the
-    field's own extremes without a descriptor; ``kinetics.run`` takes its
-    weight bound from it.  Construction rejects weights outside the span.
     """
 
     box: BoxSpec
     weights: np.ndarray  # (n_vertices,) float64, row-major
     seed: int
     descriptor: dict = dc_field(default_factory=dict, compare=False)
-    span: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -182,18 +179,29 @@ class WeightField:
             raise ValueError(f"weights shape {w.shape} != ({self.box.n_vertices},)")
         if w.base is not None:
             w = w.copy()  # a view could still change through its base
-        lo, hi = float(np.minimum.reduce(w)), float(np.maximum.reduce(w))
-        if not 0.0 <= lo <= hi < np.inf:
-            raise ValueError(f"weights must be finite and nonnegative, got [{lo}, {hi}]")
-        span = (lo, hi)
-        if self.descriptor:
-            span = _support_span(self.descriptor["values"], self.descriptor["probs"])
-            if not span[0] <= lo <= hi <= span[1]:
-                raise ValueError(f"weights [{lo}, {hi}] leave the law's support "
-                                 f"[{span[0]}, {span[1]}]")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "span", span)
+
+    @cached_property
+    def span(self) -> tuple[float, float]:
+        """Smallest and largest support value of the field's law, or the
+        field's own extremes without a descriptor.
+
+        ``kinetics.run`` takes its weight bound from the span, so the first
+        read rejects weights outside it, or negative or non-finite ones.
+        ``sample_field`` fills it in, as its weights come from the law.
+        """
+        lo = float(np.minimum.reduce(self.weights))
+        hi = float(np.maximum.reduce(self.weights))
+        if not 0.0 <= lo <= hi < np.inf:
+            raise ValueError(f"weights must be finite and nonnegative, got [{lo}, {hi}]")
+        if not self.descriptor:
+            return lo, hi
+        span = _support_span(self.descriptor["values"], self.descriptor["probs"])
+        if not span[0] <= lo <= hi <= span[1]:
+            raise ValueError(f"weights [{lo}, {hi}] leave the law's support "
+                             f"[{span[0]}, {span[1]}]")
+        return span
 
     def grid(self) -> np.ndarray:
         return self.weights.reshape(self.box.shape)
@@ -240,7 +248,9 @@ def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
     key = seed_key(seed)
     w = dist.sample(rng_from(seed), box.n_vertices)
     stored = key[0] if len(key) == 1 else key
-    return WeightField(box=box, weights=w, seed=stored, descriptor=dist.descriptor())
+    fld = WeightField(box=box, weights=w, seed=stored, descriptor=dist.descriptor())
+    fld.__dict__["span"] = _support_span(dist.values, dist.probs)
+    return fld
 
 
 def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,

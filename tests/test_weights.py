@@ -123,17 +123,25 @@ def test_weight_field_span_and_rejections():
     w = np.array([1.0, 0.5, 2.0, 1.5])
     assert weights.WeightField(box=box, weights=w, seed=0).span == (0.5, 2.0)
     law = WeightDistribution.from_table([0.5, 1.0, 2.5], [0.5, 0.5, 0.0])
-    assert sample_field(law, box, 3).span == (0.5, 1.0)
+    drawn = sample_field(law, box, 3)
+    assert drawn.span == (0.5, 1.0)
+    # the span sample_field fills in is the one a fresh read computes
+    again = weights.WeightField(box=box, weights=drawn.weights, seed=3,
+                                descriptor=drawn.descriptor)
+    assert again.span == drawn.span
     # kinetics.run thins against the law's span, so a descriptor that does
     # not cover the weights would run them under the wrong law
+    start = kinetics.Configuration.single_seed(box)
     for values, probs in [((2.5,), (1.0,)), ((1.0, 2.5), (0.5, 0.5)),
                           ((0.5, 1.5, 2.0), (0.5, 0.5, 0.0))]:
         desc = WeightDistribution.from_table(values, probs).descriptor()
+        fld = weights.WeightField(box=box, weights=w, seed=0, descriptor=desc)
         with pytest.raises(ValueError, match="leave the law's support"):
-            weights.WeightField(box=box, weights=w, seed=0, descriptor=desc)
+            kinetics.run(start, fld, 0.8, 1.5, seed=1)
     for bad in (-0.5, np.inf, np.nan):
+        fld = weights.WeightField(box=box, weights=np.append(w[:3], bad), seed=0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            weights.WeightField(box=box, weights=np.append(w[:3], bad), seed=0)
+            fld.span
 
 
 def test_save_load_roundtrip(tmp_path):
