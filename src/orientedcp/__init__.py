@@ -1,9 +1,10 @@
 """Contact processes with i.i.d. random vertex weights on oriented lattices.
 
-Simulation (event-queue kinetics and the graphical construction), exact and
-Monte Carlo path-moment calculations, collision statistics of oriented walk
-pairs, and critical-rate scanning, all on finite boxes of the oriented
-lattice where every edge points one step up a coordinate.
+Simulation (uniformized event-driven kinetics and the graphical
+construction), exact and Monte Carlo path-moment calculations, collision
+statistics of oriented walk pairs, and critical-rate scanning, all on
+finite boxes of the oriented lattice where every edge points one step up
+a coordinate.
 
 The top level exports the common entry points used by the demos and the
 README example; every other name is imported from its submodule.

@@ -234,8 +234,7 @@ def _cmd_moments(cfg, dist, out, jobs, digest):
         mr = moments.path_count_moment_ratio(
             dist, d, lam, n, walk_samples=ws,
             seed=np.random.SeedSequence(key + [i]))
-        lb = min(1.0, 1.0 / mr.value) if mr.value > 0 else 0.0
-        rows.append((d, n, lam, dist.label, exact, mr.value, mr.se, lb))
+        rows.append((d, n, lam, dist.label, exact, mr.value, mr.se, mr.survival_lb))
     write_csv(os.path.join(out, "moments.csv"),
               ["d", "n", "lambda", "dist_id", "expected_count_exact",
                "ratio_mc", "ratio_se", "survival_lb"], rows, digest)
@@ -247,16 +246,16 @@ def _cmd_ratio(cfg, dist, out, jobs, digest):
     mr = moments.path_count_moment_ratio(
         dist, d, lam, n, walk_samples=cfg["walk_samples"] or None,
         seed=cfg["seed"], use_bound=cfg["use_bound"])
-    lb = min(1.0, 1.0 / mr.value) if mr.value > 0 else 0.0
     write_json(os.path.join(out, "ratio.json"),
                {"d": d, "n": n, "lambda": lam, "dist_id": dist.label,
                 "method": mr.method, "ratio": mr.value, "ratio_se": mr.se,
                 "numerator": mr.numerator, "denominator": mr.denominator,
-                "survival_lb": lb})
+                "survival_lb": mr.survival_lb})
     write_csv(os.path.join(out, "ratio.csv"),
               ["d", "n", "lambda", "dist_id", "method", "ratio", "ratio_se",
                "survival_lb"],
-              [(d, n, lam, dist.label, mr.method, mr.value, mr.se, lb)], digest)
+              [(d, n, lam, dist.label, mr.method, mr.value, mr.se, mr.survival_lb)],
+              digest)
     return ["ratio.csv", "ratio.json"]
 
 

@@ -1,4 +1,4 @@
-"""Survival estimation, subcritical decay checks, and critical-rate scans.
+"""Survival estimation and critical-rate scans.
 
 Survival on a finite box is a proxy: the process starts from the origin
 corner, the boundary absorbs (arrows leaving the box are dropped), and
@@ -18,11 +18,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from . import harris, kinetics
 from .errors import ScanError
-from .kinetics import Configuration, run, weighted_origin_occupancy
+from .kinetics import Configuration, run
 from .lattice import BoxSpec
 from .weights import WeightDistribution, annealed_map, seed_key
 
@@ -36,7 +33,6 @@ class SurvivalEstimate:
     reps: int
     p_hat: float
     se: float
-    box_converged: bool | None = None   # set only when a doubling check ran
 
 
 def _survives(start, lam, horizon, fld, stream) -> bool:
@@ -60,100 +56,6 @@ def survival_probability(dist: WeightDistribution, d: int, side: int, lam: float
     p = hits / reps
     return SurvivalEstimate(lam=float(lam), d=d, side=side, horizon=float(horizon),
                             reps=reps, p_hat=p, se=math.sqrt(p * (1.0 - p) / reps))
-
-
-def survival_indicators_nested(dist: WeightDistribution, d: int, side: int,
-                               lams, horizon: float, reps: int, seed):
-    """Survival indicators at several rates on one shared event structure.
-
-    The structure is built at the largest rate and thinned down, so for each
-    replicate the indicator at a smaller rate implies the indicator at any
-    larger one.  Returns (estimates ordered like ``lams``, (reps, k) bool
-    matrix).  Replays the full event list per replicate; meant for small
-    boxes where strict nesting is worth the cost.
-    """
-    lams = [float(l) for l in lams]
-    if any(l <= 0 for l in lams):
-        raise ValueError("rates must be positive")
-    lam_max = max(lams)
-    fractions = [l / lam_max for l in lams]
-
-    def trial(fld, stream):
-        rep = harris.build(fld.box, fld, lam_max, horizon, stream(1))
-        return [bool(harris.percolate_forward(th, [0]))
-                for th in harris.thin_arrows(rep, fractions, stream(2))]
-
-    ind = np.array(annealed_map(trial, dist, BoxSpec(d=d, side=side), reps, seed),
-                   dtype=bool)
-    ests = []
-    for k, lam in enumerate(lams):
-        p = float(ind[:, k].mean())
-        ests.append(SurvivalEstimate(lam=lam, d=d, side=side, horizon=float(horizon),
-                                     reps=reps, p_hat=p,
-                                     se=math.sqrt(p * (1.0 - p) / reps)))
-    return ests, ind
-
-
-@dataclass(frozen=True)
-class EnvelopeRow:
-    t: float
-    f_hat: float
-    se: float
-    envelope: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    d: int
-    lam: float
-    rate_floor: float          # 1 / (d * E rho^2)
-    envelope_rows: tuple
-    envelope_ok: bool
-    survival: SurvivalEstimate
-    noise_floor: float
-    below_floor: bool
-
-
-def check_subcritical_decay(dist: WeightDistribution, d: int, lam_grid,
-                            horizon: float, reps: int, seed,
-                            times=(1.0, 2.0, 4.0), occupancy_reps: int | None = None,
-                            survival_side: int = 10, noise_floor: float = 0.01,
-                            ) -> list[DecayReport]:
-    """Verify exponential decay below the mean-field rate, per grid point.
-
-    For each rate: the weighted apex occupancy must sit under the
-    exponential envelope mean * exp((d * lam * Erho^2 - 1) t) within 3
-    standard errors at every requested time, and the survival proxy at the
-    horizon must be under the noise floor.  Rates at or above the floor
-    rate are rejected up front.
-    """
-    m2 = dist.second_moment
-    if m2 <= 0:
-        raise ValueError("weight law has zero second moment")
-    floor_rate = 1.0 / (d * m2)
-    lams = [float(l) for l in lam_grid]
-    bad = [l for l in lams if l >= floor_rate]
-    if bad:
-        raise ValueError(f"rates {bad} are not below 1/(d*Erho^2) = {floor_rate:.6g}")
-    key = seed_key(seed)
-    out = []
-    for k, lam in enumerate(lams):
-        occ = weighted_origin_occupancy(dist, d, lam, times,
-                                        occupancy_reps or reps, seed=key + [k, 0])
-        rows = []
-        for t, v, se in zip(occ.times, occ.values, occ.standard_errors):
-            env = kinetics.decay_envelope(dist, d, lam, t)
-            rows.append(EnvelopeRow(t=t, f_hat=v, se=se, envelope=env,
-                                    ok=v <= env + 3.0 * se))
-        surv = survival_probability(dist, d, survival_side, lam, horizon, reps,
-                                    seed=key + [k, 1])
-        out.append(DecayReport(d=d, lam=lam, rate_floor=floor_rate,
-                               envelope_rows=tuple(rows),
-                               envelope_ok=all(r.ok for r in rows),
-                               survival=surv, noise_floor=noise_floor,
-                               below_floor=surv.p_hat <= noise_floor))
-    return out
 
 
 def scan_defaults(d: int) -> dict:

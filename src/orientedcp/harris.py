@@ -16,11 +16,9 @@ distribution.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -320,72 +318,3 @@ def coupling_sweep(dist: WeightDistribution, box: BoxSpec, lam: float,
     """Run removal_coupling_check on fresh realizations; count violations."""
     bad = annealed_map(partial(_coupling_trial, lam, horizon), dist, box, reps, seed, jobs)
     return CheckReport(reps=reps, failures=sum(bad))
-
-
-def _stream_order(rep: GraphicalRep) -> np.ndarray:
-    """Row indices by (kind, a, b, time): marks by vertex, then arrows by edge."""
-    # lexsort is stable, so each stream keeps the table's time order
-    return np.lexsort((rep.b, rep.a, rep.kinds))
-
-
-def thin_arrows(rep: GraphicalRep, fractions, seed) -> list[GraphicalRep]:
-    """Couple lower-rate structures by keeping each arrow with probability f.
-
-    One uniform per arrow, drawn in (tail, head, time) order, decides its
-    fate for every requested fraction, so the returned reps are nested:
-    every arrow kept at a smaller fraction is kept at any larger one.
-    Marks are shared untouched.  This realises the standard monotone
-    coupling in the infection rate.
-    """
-    fr = [float(f) for f in fractions]
-    if any(not 0.0 <= f <= 1.0 for f in fr):
-        raise ValueError(f"fractions must lie in [0, 1]: {fr}")
-    rng = rng_from(seed)
-    rows = _stream_order(rep)
-    rows = rows[rep.kinds[rows] == _ARROW]
-    u = np.full(rep.n_events(), -1.0)   # marks sit below every fraction
-    u[rows] = rng.random(rows.size)
-    out = []
-    for f in fr:
-        keep = u < f
-        out.append(GraphicalRep(box=rep.box, lam=rep.lam * f, horizon=rep.horizon,
-                                times=rep.times[keep], kinds=rep.kinds[keep],
-                                a=rep.a[keep], b=rep.b[keep]))
-    return out
-
-
-def dump_jsonl(rep: GraphicalRep, path) -> None:
-    """One JSON record per stream: marks keyed by site, arrows by edge."""
-    box = rep.box
-    times, kinds, a, b = rep.event_arrays()
-    streams = groupby(_stream_order(rep).tolist(), lambda i: (kinds[i], a[i], b[i]))
-    with open(str(path), "w") as fh:
-        for (kind, x, y), rows in streams:
-            if kind == _MARK:
-                rec = {"kind": "mark", "site": list(lattice.index_vertex(box, x))}
-            else:
-                rec = {"kind": "arrow",
-                       "edge": [list(lattice.index_vertex(box, x)),
-                                list(lattice.index_vertex(box, y))]}
-            rec["times"] = [times[i] for i in rows]
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_jsonl(path, box: BoxSpec, lam: float, horizon: float) -> GraphicalRep:
-    """Rebuild a rep from a stream dump; box, rate and horizon are not in it."""
-    rows = []
-    with open(str(path)) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec["kind"] == "mark":
-                kind, x, y = _MARK, lattice.vertex_index(box, tuple(rec["site"])), -1
-            elif rec["kind"] == "arrow":
-                kind = _ARROW
-                x, y = (lattice.vertex_index(box, tuple(v)) for v in rec["edge"])
-            else:
-                raise ValueError(f"unknown stream kind {rec['kind']!r}")
-            rows += [(t, kind, x, y) for t in rec["times"]]
-    cols = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return GraphicalRep.from_columns(box, lam, horizon, *cols)

@@ -27,10 +27,11 @@ share of thinned events grows with M^2 against the typical rho(x) rho(y):
 none for a one-valued law, about 40% for ``two_point(0.5)``, and most
 events for a law that puts little mass on a large M.
 
-M is the largest support value of the field's law, or the field's
-maximum when it has no law (``WeightField.span``, which checks the
-weights against the law).  A one-valued law accepts every
-transmission, and its runs draw no acceptance uniform; so a field
+M is the upper end of ``WeightField.span``: the largest support value
+of the field's ``law``, or the field's maximum when ``law`` is None.
+The first read of the span checks the weights against the law, so a
+field that leaves its law fails before it runs.  A one-valued law accepts
+every transmission, and its runs draw no acceptance uniform; so a field
 rho = c at rate lam consumes the stream exactly as rho = 1 at rate
 lam * c^2 and reproduces it bit for bit.
 
@@ -91,10 +92,6 @@ class Configuration:
     @classmethod
     def all_infected(cls, box: BoxSpec, mode: str = ETA) -> "Configuration":
         return cls(box, np.ones(box.n_vertices, dtype=np.int8), mode=mode)
-
-    @classmethod
-    def all_healthy(cls, box: BoxSpec, mode: str = ETA) -> "Configuration":
-        return cls(box, np.zeros(box.n_vertices, dtype=np.int8), mode=mode)
 
     @classmethod
     def single_seed(cls, box: BoxSpec, site=None, mode: str = ETA) -> "Configuration":

@@ -75,18 +75,6 @@ def vertex_index(box: BoxSpec, x) -> int:
     return idx
 
 
-def index_vertex(box: BoxSpec, idx: int) -> tuple[int, ...]:
-    """Inverse of :func:`vertex_index`."""
-    if not 0 <= idx < box.n_vertices:
-        raise ValueError(f"index {idx} outside box with {box.n_vertices} vertices")
-    out = []
-    m = box.side + 1
-    for _ in range(box.d):
-        out.append(idx % m)
-        idx //= m
-    return tuple(reversed(out))
-
-
 def site_index(box: BoxSpec, x) -> int:
     """Index of a site given as a vertex tuple or as an index.
 

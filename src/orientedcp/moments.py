@@ -103,12 +103,6 @@ class PathCountEstimate:
             raise ValueError("mean path count is zero; ratio undefined")
         return self.second_moment / self.mean ** 2
 
-    @property
-    def se_ratio(self) -> float:
-        r = self.ratio
-        return r * math.sqrt((self.se_second / self.second_moment) ** 2
-                             + (2.0 * self.se_mean / self.mean) ** 2)
-
 
 def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
                    reps: int, seed, batch: int = 2048) -> PathCountEstimate:
@@ -261,6 +255,11 @@ class MomentRatio:
     numerator: float      # E count^2
     denominator: float    # (E count)^2
 
+    @property
+    def survival_lb(self) -> float:
+        """P(some open n-path exists) >= 1 / ratio, clipped to 1."""
+        return min(1.0, 1.0 / self.value)
+
 
 def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int,
                             walk_samples: int | None = None, seed=None,
@@ -319,12 +318,6 @@ class SurvivalBound:
     value: float                 # second-moment lower bound at n = n_max
     per_n: tuple                 # (n, ratio, bound) rows for n = 1..n_max
 
-    def bound_at(self, n: int) -> float:
-        for row in self.per_n:
-            if row[0] == n:
-                return row[2]
-        raise KeyError(n)
-
 
 def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: int,
                          walk_samples: int | None = None, seed=None,
@@ -343,10 +336,10 @@ def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: in
         rows = tuple((n, math.inf, 0.0) for n in range(1, n_max + 1))
         return SurvivalBound(value=0.0, per_n=rows)
     rows = []
-    base = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    children = base.spawn(n_max) if walk_samples is not None else [None] * n_max
+    # one child stream per n, derived through the one seed step
+    children = [None] * n_max if walk_samples is None else rng_from(seed).spawn(n_max)
     for n in range(1, n_max + 1):
         r = path_count_moment_ratio(dist, d, lam, n, walk_samples=walk_samples,
                                     seed=children[n - 1], use_bound=use_bound)
-        rows.append((n, r.value, min(1.0, 1.0 / r.value)))
+        rows.append((n, r.value, r.survival_lb))
     return SurvivalBound(value=rows[-1][2], per_n=tuple(rows))

@@ -143,18 +143,6 @@ def write_csv(path: str, header, rows, digest: str) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def read_csv(path: str):
-    """(digest, header, rows-of-strings) for files written by write_csv."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# manifest_hash="):
-            raise ValueError(f"{path}: missing manifest hash comment")
-        digest = first.split("=", 1)[1]
-        header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    return digest, header, rows
-
-
 def write_json(path: str, obj) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)

@@ -14,8 +14,6 @@ number of jobs.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -23,7 +21,6 @@ import numpy as np
 
 from .lattice import BoxSpec
 
-_MAGIC = b"OCPW1\n"
 _PROB_TOL = 1e-12
 
 
@@ -38,7 +35,7 @@ class WeightDistribution:
     probs : tuple of float
         Probabilities, summing to 1 within 1e-12.
     kind : str
-        Constructor tag, kept for serialization ("constant", "two_point",
+        Constructor tag, read by ``label`` ("constant", "two_point",
         "table", "quadrature").
     strict : bool
         When True (default) require positive mass on positive values; the
@@ -114,9 +111,15 @@ class WeightDistribution:
         return float(sum(p * v * v for v, p in zip(self.values, self.probs)))
 
     @property
+    def span(self) -> tuple[float, float]:
+        """Smallest and largest support value carrying mass."""
+        support = [v for v, p in zip(self.values, self.probs) if p > 0]
+        return min(support), max(support)
+
+    @property
     def bound(self) -> float:
         """Supremum of the support (largest value carrying mass)."""
-        return _support_span(self.values, self.probs)[1]
+        return self.span[1]
 
     @property
     def label(self) -> str:
@@ -128,20 +131,6 @@ class WeightDistribution:
         if len(pairs) > 60:
             pairs = pairs[:57] + "..."
         return f"{self.kind}({pairs})"
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "values": list(self.values),
-            "probs": list(self.probs),
-            "strict": self.strict,
-        }
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "WeightDistribution":
-        return cls(tuple(desc["values"]), tuple(desc["probs"]),
-                   kind=desc.get("kind", "table"),
-                   strict=desc.get("strict", True))
 
     # -- sampling ------------------------------------------------------
 
@@ -155,23 +144,17 @@ class WeightDistribution:
         return np.asarray(self.values, dtype=np.float64)[idx]
 
 
-def _support_span(values, probs) -> tuple[float, float]:
-    """Smallest and largest support value carrying mass."""
-    support = [v for v, p in zip(values, probs) if p > 0]
-    return float(min(support)), float(max(support))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightField:
     """One sampled i.i.d. weight assignment on a box, immutable after creation.
 
-    ``descriptor`` is the law the weights were drawn from, or empty.
+    ``law`` is the law the weights were drawn from, or None.  Equality and
+    hashing are by identity, since the weights are an array.
     """
 
     box: BoxSpec
     weights: np.ndarray  # (n_vertices,) float64, row-major
-    seed: int
-    descriptor: dict = dc_field(default_factory=dict, compare=False)
+    law: WeightDistribution | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -185,19 +168,20 @@ class WeightField:
     @cached_property
     def span(self) -> tuple[float, float]:
         """Smallest and largest support value of the field's law, or the
-        field's own extremes without a descriptor.
+        field's own extremes without a law.
 
         ``kinetics.run`` takes its weight bound from the span, so the first
         read rejects weights outside it, or negative or non-finite ones.
-        ``sample_field`` fills it in, as its weights come from the law.
+        ``sample_field`` fills it in, as its weights come from the law, so
+        a sampled field skips this O(V) check.
         """
         lo = float(np.minimum.reduce(self.weights))
         hi = float(np.maximum.reduce(self.weights))
         if not 0.0 <= lo <= hi < np.inf:
             raise ValueError(f"weights must be finite and nonnegative, got [{lo}, {hi}]")
-        if not self.descriptor:
+        if self.law is None:
             return lo, hi
-        span = _support_span(self.descriptor["values"], self.descriptor["probs"])
+        span = self.law.span
         if not span[0] <= lo <= hi <= span[1]:
             raise ValueError(f"weights [{lo}, {hi}] leave the law's support "
                              f"[{span[0]}, {span[1]}]")
@@ -242,14 +226,12 @@ def rng_from(seed) -> np.random.Generator:
 def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
     """Draw an i.i.d. field; the same seed regenerates it bit-exactly.
 
-    ``seed`` is an int, a list of ints, or a SeedSequence; derived streams
-    like (master, replicate) lists are welcome.
+    ``seed`` is anything ``rng_from`` takes; derived streams like
+    (master, replicate) lists are welcome.
     """
-    key = seed_key(seed)
-    w = dist.sample(rng_from(seed), box.n_vertices)
-    stored = key[0] if len(key) == 1 else key
-    fld = WeightField(box=box, weights=w, seed=stored, descriptor=dist.descriptor())
-    fld.__dict__["span"] = _support_span(dist.values, dist.probs)
+    fld = WeightField(box=box, weights=dist.sample(rng_from(seed), box.n_vertices),
+                      law=dist)
+    fld.__dict__["span"] = dist.span
     return fld
 
 
@@ -287,43 +269,4 @@ def _replicates(trial, dist, box, key, r0, r1) -> list:
 
 def constant_field(value: float, box: BoxSpec) -> WeightField:
     """Deterministic field, handy for unit fixtures."""
-    w = np.full(box.n_vertices, float(value))
-    desc = WeightDistribution.constant(value).descriptor() if value > 0 else \
-        {"kind": "constant", "values": [float(value)], "probs": [1.0], "strict": False}
-    return WeightField(box=box, weights=w, seed=0, descriptor=desc)
-
-
-def save_field(fld: WeightField, path) -> None:
-    """Flat binary dump (JSON header line + row-major float64 body) + sidecar."""
-    header = {
-        "d": fld.box.d,
-        "side": fld.box.side,
-        "seed": fld.seed,
-        "descriptor": fld.descriptor,
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(np.ascontiguousarray(fld.weights, dtype="<f8").tobytes())
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_field(path) -> WeightField:
-    with open(str(path), "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a weight-field file: magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        box = BoxSpec(d=header["d"], side=header["side"])
-        body = fh.read(8 * box.n_vertices)
-        w = np.frombuffer(body, dtype="<f8")
-        if w.size != box.n_vertices:
-            raise ValueError("truncated weight-field body")
-    return WeightField(box=box, weights=w.astype(np.float64), seed=header["seed"],
-                       descriptor=header["descriptor"])
+    return WeightField(box=box, weights=np.full(box.n_vertices, float(value)))

@@ -1,12 +1,13 @@
 """Test-side oracles: slow, direct versions of what the package computes.
 
-The neighbour lists of one vertex, the per-vertex transition rates of a
-configuration, a replay of a fixed event table, the per-draw open-path
-count on an explicit full-box clock structure, the one-step joint pass
-probability of a walk pair, and the next-reaction event loop that the
+The neighbour lists of one vertex and the inverse of its index, the
+per-vertex transition rates of a configuration, a replay of a fixed event
+table, the monotone arrow thinning of an event table, the per-draw
+open-path count on an explicit full-box clock structure, the one-step joint
+pass probability of a walk pair, and the next-reaction event loop that the
 uniformized ``kinetics.run`` replaced.  The package does not use them; the tests
 cross-check ``orientedcp`` against them, so they stay apart from the code
-they check.
+they check.  ``read_csv`` reads back the CSV files the CLI writes.
 """
 
 from __future__ import annotations
@@ -18,13 +19,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orientedcp import lattice
+from orientedcp import harris, lattice
+from orientedcp.harris import _ARROW, GraphicalRep
 from orientedcp.kinetics import (_MODES, ETA_HAT, HEALTHY, INFECTED, REMOVED,
                                  ZETA, Configuration, SimResult)
 from orientedcp.lattice import BoxSpec, in_box
 from orientedcp.moments import (edge_pass_probability,
                                 shared_source_pass_probability)
-from orientedcp.weights import WeightField, rng_from
+from orientedcp.weights import WeightField, annealed_map, rng_from
+
+
+def read_csv(path: str):
+    """(digest, header, rows-of-strings) for files written by write_csv."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+        if not first.startswith("# manifest_hash="):
+            raise ValueError(f"{path}: missing manifest hash comment")
+        digest = first.split("=", 1)[1]
+        header = fh.readline().strip().split(",")
+        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    return digest, header, rows
+
+
+def index_vertex(box: BoxSpec, idx: int) -> tuple[int, ...]:
+    """Inverse of :func:`vertex_index`."""
+    if not 0 <= idx < box.n_vertices:
+        raise ValueError(f"index {idx} outside box with {box.n_vertices} vertices")
+    out = []
+    m = box.side + 1
+    for _ in range(box.d):
+        out.append(idx % m)
+        idx //= m
+    return tuple(reversed(out))
 
 
 def out_neighbors(x, box: BoxSpec) -> list[tuple[int, ...]]:
@@ -96,6 +122,56 @@ def run_on_events(cfg: Configuration, rep) -> np.ndarray:
             if states[x] == INFECTED and states[y] == HEALTHY:
                 states[y] = INFECTED
     return states
+
+
+def _stream_order(rep: GraphicalRep) -> np.ndarray:
+    """Row indices by (kind, a, b, time): marks by vertex, then arrows by edge."""
+    # lexsort is stable, so each stream keeps the table's time order
+    return np.lexsort((rep.b, rep.a, rep.kinds))
+
+
+def thin_arrows(rep: GraphicalRep, fractions, seed) -> list[GraphicalRep]:
+    """Couple lower-rate structures by keeping each arrow with probability f.
+
+    One uniform per arrow, drawn in (tail, head, time) order, decides its
+    fate for every requested fraction, so the returned reps are nested:
+    every arrow kept at a smaller fraction is kept at any larger one.
+    Marks are shared untouched.  This realises the standard monotone
+    coupling in the infection rate.
+    """
+    fr = [float(f) for f in fractions]
+    if any(not 0.0 <= f <= 1.0 for f in fr):
+        raise ValueError(f"fractions must lie in [0, 1]: {fr}")
+    rng = rng_from(seed)
+    rows = _stream_order(rep)
+    rows = rows[rep.kinds[rows] == _ARROW]
+    u = np.full(rep.n_events(), -1.0)   # marks sit below every fraction
+    u[rows] = rng.random(rows.size)
+    out = []
+    for f in fr:
+        keep = u < f
+        out.append(GraphicalRep(box=rep.box, lam=rep.lam * f, horizon=rep.horizon,
+                                times=rep.times[keep], kinds=rep.kinds[keep],
+                                a=rep.a[keep], b=rep.b[keep]))
+    return out
+
+
+def nested_survival(dist, d: int, side: int, lams, horizon: float, reps: int,
+                    seed) -> np.ndarray:
+    """(reps, len(lams)) origin-survival indicators on one event table per
+    replicate, built at the largest rate and thinned down by ``thin_arrows``,
+    so each row is monotone in the rate.
+    """
+    lam_max = max(lams)
+    fractions = [lam / lam_max for lam in lams]
+
+    def trial(fld, stream):
+        rep = harris.build(fld.box, fld, lam_max, horizon, stream(1))
+        return [bool(harris.percolate_forward(th, [0]))
+                for th in thin_arrows(rep, fractions, stream(2))]
+
+    return np.array(annealed_map(trial, dist, BoxSpec(d=d, side=side), reps, seed),
+                    dtype=bool)
 
 
 @dataclass(frozen=True)

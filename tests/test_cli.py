@@ -3,9 +3,9 @@ import os
 
 import pytest
 
+from _oracles import read_csv
 from orientedcp import moments
 from orientedcp.cli import main
-from orientedcp.reporting import read_csv
 
 
 def _run(tmp_path, name, *sets, out=None, extra=()):

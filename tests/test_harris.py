@@ -5,13 +5,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from _oracles import run_on_events
-from orientedcp import harris, lattice
+from _oracles import run_on_events, thin_arrows
+from orientedcp import lattice
 from orientedcp.harris import (GraphicalRep, build, coupling_sweep,
                                duality_annealed, duality_check, duality_sweep,
-                               dump_jsonl, load_jsonl, percolate_dual,
-                               percolate_forward, removal_coupling_check,
-                               thin_arrows)
+                               percolate_dual, percolate_forward,
+                               removal_coupling_check)
 from orientedcp.kinetics import Configuration
 from orientedcp.lattice import BoxSpec
 from orientedcp.weights import WeightDistribution, constant_field, sample_field
@@ -273,18 +272,6 @@ def test_thinned_survival_is_nested():
         lo, hi = thin_arrows(rep, [0.3, 0.9], seed=[92, r])
         if percolate_forward(lo, [0]):
             assert percolate_forward(hi, [0])
-
-
-def test_dump_load_roundtrip(tmp_path):
-    box = BoxSpec(d=2, side=4)
-    fld = sample_field(WeightDistribution.two_point(0.6), box, 12)
-    rep = build(box, fld, 0.8, 3.0, seed=13)
-    path = tmp_path / "rep.jsonl"
-    dump_jsonl(rep, path)
-    back = load_jsonl(path, box, 0.8, 3.0)
-    assert all(np.array_equal(getattr(rep, c), getattr(back, c)) for c in COLUMNS)
-    assert percolate_forward(rep, "all") == percolate_forward(back, "all")
-    assert duality_check(rep) == duality_check(back)
 
 
 def _digest(rep):

@@ -18,10 +18,14 @@ def _idx(box, x):
     return lattice.vertex_index(box, x)
 
 
+def _all_healthy(box, mode=ETA):
+    return Configuration(box, np.zeros(box.n_vertices, dtype=np.int8), mode=mode)
+
+
 def test_step_rates_two_infected_in_neighbors():
     box = BoxSpec(d=2, side=2)
     fld = constant_field(1.0, box)
-    cfg = Configuration.all_healthy(box)
+    cfg = _all_healthy(box)
     cfg.states[_idx(box, (0, 1))] = INFECTED
     cfg.states[_idx(box, (1, 0))] = INFECTED
     rates = step_rates(cfg, fld, 1.0)
@@ -33,7 +37,7 @@ def test_step_rates_two_infected_in_neighbors():
 def test_step_rates_eta_hat_uses_out_neighbors():
     box = BoxSpec(d=2, side=2)
     fld = constant_field(1.0, box)
-    cfg = Configuration.all_healthy(box, mode=ETA_HAT)
+    cfg = _all_healthy(box, mode=ETA_HAT)
     cfg.states[_idx(box, (0, 1))] = INFECTED
     cfg.states[_idx(box, (1, 0))] = INFECTED
     rates = step_rates(cfg, fld, 1.0)
@@ -54,7 +58,7 @@ def test_step_rates_zero_weight_never_infected():
     box = BoxSpec(d=2, side=2)
     w = np.ones(box.n_vertices)
     w[_idx(box, (1, 1))] = 0.0
-    fld = kinetics.WeightField(box=box, weights=w, seed=None)
+    fld = kinetics.WeightField(box=box, weights=w)
     cfg = Configuration.all_infected(box)
     cfg.states[_idx(box, (1, 1))] = 0
     rates = step_rates(cfg, fld, 5.0)
@@ -75,7 +79,7 @@ def test_removed_state_rejected_outside_zeta():
 
 def test_all_healthy_dies_instantly():
     box = BoxSpec(d=2, side=3)
-    res = run(Configuration.all_healthy(box), constant_field(1.0, box),
+    res = run(_all_healthy(box), constant_field(1.0, box),
               1.0, 5.0, seed=3)
     assert not res.survived
     assert res.extinction_time == 0.0
@@ -132,8 +136,7 @@ def _field_with_bound(box, weights, bound):
     """A fixed field whose law's support tops out at ``bound``."""
     support = sorted(set(weights)) + [bound]
     law = WeightDistribution.from_table(support, [1 / len(support)] * len(support))
-    return kinetics.WeightField(box=box, weights=np.array(weights), seed=0,
-                                descriptor=law.descriptor())
+    return kinetics.WeightField(box=box, weights=np.array(weights), law=law)
 
 
 @pytest.mark.parametrize("mode", [ETA, ETA_HAT])
@@ -141,12 +144,12 @@ def _field_with_bound(box, weights, bound):
 def test_square_against_matrix_exponential(mode, described):
     # d=2, L=1: 4 vertices, 16 states.  Unequal weights make the engine thin
     # transmissions, and the corner vertices have fewer than d in-box
-    # targets, so some transmission slots are null events.  With a
-    # descriptor the weight bound (2.5) exceeds every weight in the field.
+    # targets, so some transmission slots are null events.  With a law
+    # the weight bound (2.5) exceeds every weight in the field.
     box = BoxSpec(d=2, side=1)
     weights = [1.0, 0.5, 2.0, 1.5]
     fld = (_field_with_bound(box, weights, 2.5) if described else
-           kinetics.WeightField(box=box, weights=np.array(weights), seed=0))
+           kinetics.WeightField(box=box, weights=np.array(weights)))
     lam, t = 0.8, 1.5
     Q = np.zeros((16, 16))
     for s in range(16):

@@ -1,4 +1,5 @@
-"""The top-level namespace exports what the demos and the README example use.
+"""The top-level namespace exports what the demos and the README example use,
+and every public name in the package is read by something other than tests.
 
 Names are read from the sources with ``ast`` rather than by running them,
 so the check is fast and catches a demo that imports a name the package
@@ -47,3 +48,67 @@ def test_demo_and_readme_imports_are_listed():
         used |= _imported_from_package(src)
     assert used, "no demo imports from orientedcp"
     assert used <= set(orientedcp.__all__), sorted(used - set(orientedcp.__all__))
+
+
+# Public names kept although no program path reaches them, with the reason.
+REACH_EXEMPT = {
+    "weights.constant_field": "deterministic-field fixture of criterion 10 and "
+                              "about 30 unit tests",
+}
+
+
+def _definitions(tree):
+    """(name, first line, last line, is_member) of each public module-level
+    function and class and each public method and property of such a class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield node.name, node.lineno, node.end_lineno, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno, True
+
+
+def _references(tree):
+    """(identifier, line, is_attribute_or_string) for every place a name is read.
+
+    String constants count, since perfbench names the layers it wraps as
+    strings.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno, False
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno, True
+
+
+def test_every_public_name_is_reached():
+    # Each public name in src/ is read by the package itself, a demo,
+    # perfbench or a README example; a name only tests read belongs in
+    # tests/_oracles.py or nowhere.
+    package = {p: ast.parse(p.read_text())
+               for p in sorted((ROOT / "src" / "orientedcp").glob("*.py"))}
+    outside = [ast.parse(p.read_text())
+               for d in ("demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    outside += [ast.parse(block) for block in _readme_python_blocks()]
+    refs = [(p, *ref) for p, tree in package.items() for ref in _references(tree)]
+    refs += [(None, *ref) for tree in outside for ref in _references(tree)]
+    defined, unreached = set(), []
+    for path, tree in package.items():
+        for name, first, last, member in _definitions(tree):
+            key = f"{path.stem}.{name}"
+            defined.add(key)
+            ident = name.rsplit(".", 1)[-1]
+            if not any(n == ident and (attr or not member)
+                       and not (p == path and first <= line <= last)
+                       for p, n, line, attr in refs) and key not in REACH_EXEMPT:
+                unreached.append(key)
+    assert not unreached, unreached
+    assert set(REACH_EXEMPT) <= defined, sorted(set(REACH_EXEMPT) - defined)

@@ -1,17 +1,15 @@
 import hashlib
-import json
 import os
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from _oracles import nested_survival, read_csv
 from orientedcp import cli, critfind, harris, kinetics, weights
 from orientedcp.lattice import BoxSpec
-from orientedcp.reporting import read_csv
 from orientedcp.weights import (WeightDistribution, annealed_map, constant_field,
-                                load_field, rng_from, sample_field, save_field,
-                                seed_key)
+                                rng_from, sample_field, seed_key)
 
 
 def _moments(dist):
@@ -65,14 +63,6 @@ def test_two_point_zero_mass_needs_escape_hatch():
     assert dist.mean == 0.0
 
 
-def test_descriptor_roundtrip():
-    for dist in (WeightDistribution.constant(2.0),
-                 WeightDistribution.two_point(0.7),
-                 WeightDistribution.from_table([0.5, 1.5], [0.25, 0.75])):
-        again = WeightDistribution.from_descriptor(dist.descriptor())
-        assert again == dist
-
-
 def test_sample_field_constant_and_determinism():
     box = BoxSpec(d=2, side=5)
     fld = sample_field(WeightDistribution.constant(1.0), box, 11)
@@ -113,49 +103,44 @@ def test_weight_field_readonly_and_grid():
     assert fld.grid().shape == (4, 4)
     # a view's base can no longer reach the field's weights
     base = np.ones(box.n_vertices + 1)
-    fld = weights.WeightField(box=box, weights=base[1:], seed=0)
+    fld = weights.WeightField(box=box, weights=base[1:])
     base[1] = 9.0
     assert fld.weights[0] == 1.0
+
+
+def test_weight_field_equality_is_identity():
+    box = BoxSpec(d=2, side=3)
+    law = WeightDistribution.two_point(0.5)
+    a, b = sample_field(law, box, 1), sample_field(law, box, 1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert a.law is law and np.array_equal(a.weights, b.weights)
 
 
 def test_weight_field_span_and_rejections():
     box = BoxSpec(d=2, side=1)
     w = np.array([1.0, 0.5, 2.0, 1.5])
-    assert weights.WeightField(box=box, weights=w, seed=0).span == (0.5, 2.0)
+    assert weights.WeightField(box=box, weights=w).span == (0.5, 2.0)
     law = WeightDistribution.from_table([0.5, 1.0, 2.5], [0.5, 0.5, 0.0])
+    assert law.span == (0.5, 1.0) and law.bound == 1.0
     drawn = sample_field(law, box, 3)
     assert drawn.span == (0.5, 1.0)
     # the span sample_field fills in is the one a fresh read computes
-    again = weights.WeightField(box=box, weights=drawn.weights, seed=3,
-                                descriptor=drawn.descriptor)
+    again = weights.WeightField(box=box, weights=drawn.weights, law=drawn.law)
     assert again.span == drawn.span
-    # kinetics.run thins against the law's span, so a descriptor that does
-    # not cover the weights would run them under the wrong law
+    # kinetics.run thins against the law's span, so a law that does not
+    # cover the weights would run them under the wrong law
     start = kinetics.Configuration.single_seed(box)
     for values, probs in [((2.5,), (1.0,)), ((1.0, 2.5), (0.5, 0.5)),
                           ((0.5, 1.5, 2.0), (0.5, 0.5, 0.0))]:
-        desc = WeightDistribution.from_table(values, probs).descriptor()
-        fld = weights.WeightField(box=box, weights=w, seed=0, descriptor=desc)
+        law = WeightDistribution.from_table(values, probs)
+        fld = weights.WeightField(box=box, weights=w, law=law)
         with pytest.raises(ValueError, match="leave the law's support"):
             kinetics.run(start, fld, 0.8, 1.5, seed=1)
     for bad in (-0.5, np.inf, np.nan):
-        fld = weights.WeightField(box=box, weights=np.append(w[:3], bad), seed=0)
+        fld = weights.WeightField(box=box, weights=np.append(w[:3], bad))
         with pytest.raises(ValueError, match="finite and nonnegative"):
             fld.span
-
-
-def test_save_load_roundtrip(tmp_path):
-    box = BoxSpec(d=3, side=3)
-    dist = WeightDistribution.from_table([0.5, 1.5], [0.25, 0.75])
-    fld = sample_field(dist, box, 99)
-    path = tmp_path / "field.bin"
-    save_field(fld, path)
-    # sidecar JSON carries the descriptor
-    side = json.loads((tmp_path / "field.bin.json").read_text())
-    assert side["descriptor"] == dist.descriptor()
-    back = load_field(path)
-    assert back.box == fld.box
-    assert np.array_equal(back.weights, fld.weights)
 
 
 def test_constant_field():
@@ -230,12 +215,10 @@ def test_survival_probability_golden():
 
 
 def test_survival_indicators_nested_golden():
-    ests, ind = critfind.survival_indicators_nested(TWO_POINT, 2, 4, [0.5, 0.8, 1.2],
-                                                    3.0, 40, seed=8)
+    ind = nested_survival(TWO_POINT, 2, 4, [0.5, 0.8, 1.2], 3.0, 40, seed=8)
     assert ind.shape == (40, 3) and ind.sum(axis=0).tolist() == [5, 7, 9]
     assert hashlib.sha256(ind.tobytes()).hexdigest() == \
         "228f73b2f2458b6270bcde2d68ab3452ffaba5b533d24dc681c3e6156676a136"
-    assert [e.p_hat for e in ests] == [5 / 40, 7 / 40, 9 / 40]
 
 
 def test_weighted_origin_occupancy_golden():
