@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -146,11 +147,17 @@ def resolve_config(sub: str, file_cfg: dict, set_pairs, seed_flag):
         cfg.update(dist_cfg)
     if seed_flag is not None:
         cfg["seed"] = int(seed_flag)
+    seed_key(cfg["seed"])  # a negative seed fails here, naming the seed
     return cfg, dist
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: cfg -> artifact files (list of names under out_dir)
+
+def _simulate_trial(start, lam, horizon, times, fld, stream) -> list:
+    return kinetics.run(start, fld, lam, horizon, seed=stream(1),
+                        sample_times=times).occupancy_trace
+
 
 def _cmd_simulate(cfg, dist, out, jobs, digest):
     box = BoxSpec(d=cfg["box.d"], side=cfg["box.L"])
@@ -166,11 +173,8 @@ def _cmd_simulate(cfg, dist, out, jobs, digest):
     else:
         raise ValueError(f"start must be all or origin, got {cfg['start']!r}")
 
-    def trial(fld, stream):
-        return kinetics.run(start, fld, cfg["lambda"], horizon, seed=stream(1),
-                            sample_times=times).occupancy_trace
-
-    traces = annealed_map(trial, dist, box, cfg["reps"], cfg["seed"])
+    trial = partial(_simulate_trial, start, cfg["lambda"], horizon, times)
+    traces = annealed_map(trial, dist, box, cfg["reps"], cfg["seed"], jobs)
     rows = [(r, t, count, mass / box.n_vertices)
             for r, trace in enumerate(traces) for t, count, mass in trace]
     write_csv(os.path.join(out, "trace.csv"),

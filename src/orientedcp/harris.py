@@ -254,13 +254,17 @@ class DualityEstimate:
 
 
 def _annealed_trial(dist, lam, horizon, apex, fld, stream) -> tuple:
-    """The three indicators of one replicate, each on its own field and rep."""
+    """The three indicators of one replicate, each on its own field and rep.
+
+    The second and third fields are keyed by two draws from channel 2.
+    """
     box = fld.box
     rep = build(box, fld, lam, horizon, stream(1))
     fwd_all = apex in percolate_forward(rep, "all")
-    rep = build(box, sample_field(dist, box, stream(2)), lam, horizon, stream(3))
+    keys = stream(2).integers(1 << 63, size=2).tolist()
+    rep = build(box, sample_field(dist, box, keys[0]), lam, horizon, stream(3))
     dual = bool(percolate_dual(rep, [apex]))
-    rep = build(box, sample_field(dist, box, stream(4)), lam, horizon, stream(5))
+    rep = build(box, sample_field(dist, box, keys[1]), lam, horizon, stream(4))
     return fwd_all, dual, bool(percolate_forward(rep, [0]))
 
 

@@ -29,17 +29,29 @@ events for a law that puts little mass on a large M.
 
 M is the upper end of ``WeightField.span``: the largest support value
 of the field's ``law``, or the field's maximum when ``law`` is None.
-The first read of the span checks the weights against the law, so a
+The first read of the span checks explicit weights against the law, so a
 field that leaves its law fails before it runs.  A one-valued law accepts
-every transmission, and its runs draw no acceptance uniform; so a field
-rho = c at rate lam consumes the stream exactly as rho = 1 at rate
-lam * c^2 and reproduces it bit for bit.
+every transmission, and its runs draw no acceptance uniform and read no
+weight; so a field rho = c at rate lam consumes the stream exactly as
+rho = 1 at rate lam * c^2 and reproduces it bit for bit.
 
-Vertex states live in a ``bytearray`` (removed is byte 255; an int8 view
-reads -1 and serves the probe), the infected vertices in a list.  Uniform
-draws arrive in batches turned into lists, from 64 draws doubling to
-8192, and are topped up before each event to the three it may consume.
-They are read in stream order, so batch sizes change no result.
+Weights are read lazily, one vertex at a time, through ``WeightField.at``:
+a thinned transmission reads rho(x) and rho(y), and a sample time reads
+the weights of the infected to sum their mass (``math.fsum``, so the sum
+does not depend on their order).  A keyed field from ``sample_field``
+hashes a weight on its first read, so a run that dies after touching a
+few vertices pays for those alone, whatever the size of the box.
+
+Vertex states live in a ``bytearray`` (removed is byte 255), the infected
+vertices in a list.  Neither is built per run: the configuration keeps
+its infected list and one state buffer, and each run copies the list,
+borrows the buffer, and in a ``finally`` restores the buffer over the
+vertices it infected or removed.  ``cfg.states`` is read-only and never
+changes, and a run costs no O(V) setup.  A configuration serves one run
+at a time.  Uniform draws arrive in batches turned into lists, from 16
+draws doubling to 8192, and are topped up before each event to the three
+it may consume.  They are read in stream order, so batch sizes change no
+result.
 
 The decay profile f(t) = E[rho(apex) * 1{apex infected at t}] from the
 all-infected start is estimated through duality: in the graphical
@@ -70,9 +82,14 @@ _MODES = (ETA, ETA_HAT, ZETA)
 HEALTHY, INFECTED, REMOVED = 0, 1, -1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Configuration:
-    """Vertex states plus the process mode; a run starts at time 0."""
+    """Vertex states plus the process mode; a run starts at time 0.
+
+    Immutable once built, ``states`` included.  It keeps the list of its
+    infected vertices and one state buffer, which every run from it
+    borrows and restores (see the module docstring).
+    """
 
     box: BoxSpec
     states: np.ndarray  # int8, 0 healthy / 1 infected / -1 removed (zeta only)
@@ -81,13 +98,17 @@ class Configuration:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        st = np.asarray(self.states, dtype=np.int8)
+        st = np.array(self.states, dtype=np.int8)  # the caller keeps its array
         if st.shape != (self.box.n_vertices,):
             raise ValueError(f"states shape {st.shape} != ({self.box.n_vertices},)")
         lowest = REMOVED if self.mode == ZETA else HEALTHY
         if st.min() < lowest or st.max() > INFECTED:
             raise ValueError("states must lie in {0,1} (eta/eta_hat) or {-1,0,1} (zeta)")
-        self.states = st
+        st.setflags(write=False)
+        object.__setattr__(self, "states", st)
+        object.__setattr__(self, "_infected", np.flatnonzero(st == INFECTED).tolist())
+        # a removed vertex is byte 255 here
+        object.__setattr__(self, "_buffer", bytearray(st.tobytes()))
 
     @classmethod
     def all_infected(cls, box: BoxSpec, mode: str = ETA) -> "Configuration":
@@ -114,7 +135,7 @@ class SimResult:
     probe_trace: list | None = None
 
 
-_FIRST_BATCH, _BATCH_CAP = 64, 8192
+_FIRST_BATCH, _BATCH_CAP = 16, 8192
 _DRAWS_PER_EVENT = 3  # time, vertex and slot, acceptance
 
 
@@ -155,25 +176,24 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         raise ValueError(f"sample time {samples[-1]} lies past the horizon {horizon}")
 
     box = cfg.box
-    rho = fld.weights
     # "dst" are the vertices that this vertex's infection can reach
     if cfg.mode == ETA_HAT:
         dst = lattice.in_neighbor_lists(box)
     else:
         dst = lattice.out_neighbor_lists(box)
-    # a removed vertex is byte 255 here and reads -1 through the int8 view
-    after_recovery = REMOVED & 0xFF if cfg.mode == ZETA else HEALTHY
-    states = bytearray(cfg.states.tobytes())
-    view = np.frombuffer(states, dtype=np.int8)
-    infected = np.flatnonzero(cfg.states == INFECTED).tolist()
+    # the configuration's buffer, restored over the touched vertices below
+    states = cfg._buffer
+    infected = cfg._infected.copy()
     n_inf = len(infected)
+    removed = [] if cfg.mode == ZETA else None
+    after_recovery = REMOVED & 0xFF if removed is not None else HEALTHY
 
     lo, bound = fld.span
     sq_bound = bound * bound
     slot_rate = lam * sq_bound
     per_vertex = 1.0 + box.d * slot_rate
-    # memoryview indexing yields Python floats without an O(V) copy
-    weight = None if lo == bound else memoryview(rho)
+    # a one-valued law thins nothing and reads no weight
+    weight = None if lo == bound else fld.at
 
     sptr = 0
     trace: list = []
@@ -184,9 +204,12 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         # return the next pending one
         nonlocal sptr
         while sptr < len(samples) and samples[sptr] < up_to:
-            trace.append((samples[sptr], len(infected), float(rho[infected].sum())))
+            mass = (bound * len(infected) if weight is None
+                    else math.fsum([weight[v] for v in infected]))
+            trace.append((samples[sptr], len(infected), mass))
             if probe_trace is not None:
-                probe_trace.append((samples[sptr], int(view[probe])))
+                # byte 255 is a removed vertex, state -1
+                probe_trace.append((samples[sptr], (states[probe] ^ 0x80) - 0x80))
             sptr += 1
         return samples[sptr] if sptr < len(samples) else math.inf
 
@@ -195,44 +218,56 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     buf, batch, i, n = [], _FIRST_BATCH, 0, 0
     log1p = math.log1p
     t = 0.0
-    while n_inf:
-        if n - i < _DRAWS_PER_EVENT:
-            buf, batch = _top_up(rng, buf[i:], batch, _DRAWS_PER_EVENT)
-            i, n = 0, len(buf)
-        t -= log1p(-buf[i]) / (n_inf * per_vertex)
-        if t > horizon:
-            break
-        if next_sample < t:
-            next_sample = flush(t)
-        u = buf[i + 1] * n_inf
-        i += 2
-        k = int(u)
-        x = infected[k]
-        u = (u - k) * per_vertex
-        if u < 1.0:
-            states[x] = after_recovery
-            last = infected.pop()
-            n_inf -= 1
-            if k < n_inf:
-                infected[k] = last
-            continue
-        targets = dst[x]
-        s = int((u - 1.0) / slot_rate)
-        if s >= len(targets):
-            continue
-        y = targets[s]
-        if states[y] != HEALTHY:
-            continue
-        if weight is not None:
-            accept = buf[i] * sq_bound < weight[x] * weight[y]
-            i += 1
-            if not accept:
+    try:
+        while n_inf:
+            if n - i < _DRAWS_PER_EVENT:
+                buf, batch = _top_up(rng, buf[i:], batch, _DRAWS_PER_EVENT)
+                i, n = 0, len(buf)
+            t -= log1p(-buf[i]) / (n_inf * per_vertex)
+            if t > horizon:
+                break
+            if next_sample < t:
+                next_sample = flush(t)
+            u = buf[i + 1] * n_inf
+            i += 2
+            k = int(u)
+            x = infected[k]
+            u = (u - k) * per_vertex
+            if u < 1.0:
+                states[x] = after_recovery
+                if removed is not None:
+                    removed.append(x)
+                last = infected.pop()
+                n_inf -= 1
+                if k < n_inf:
+                    infected[k] = last
                 continue
-        states[y] = INFECTED
-        infected.append(y)
-        n_inf += 1
+            targets = dst[x]
+            s = int((u - 1.0) / slot_rate)
+            if s >= len(targets):
+                continue
+            y = targets[s]
+            if states[y] != HEALTHY:
+                continue
+            if weight is not None:
+                accept = buf[i] * sq_bound < weight[x] * weight[y]
+                i += 1
+                if not accept:
+                    continue
+            states[y] = INFECTED
+            infected.append(y)
+            n_inf += 1
 
-    flush(math.inf)
+        flush(math.inf)
+    finally:
+        # restore the buffer: every vertex that was infected or removed
+        # here goes back to healthy, then the start's infected to infected
+        for v in infected:
+            states[v] = HEALTHY
+        for v in removed or ():
+            states[v] = HEALTHY
+        for v in cfg._infected:
+            states[v] = INFECTED
     survived = n_inf > 0
     return SimResult(survived=survived,
                      extinction_time=float(horizon) if survived else t,
@@ -269,8 +304,9 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
     truncation check.  At t = 0 the state factor is identically 1, so the
     exact mean weight is returned with zero standard error.
 
-    Each replicate draws a weight field and runs the reversed process
-    ``eta_hat`` from the apex alone up to the largest time; it scores
+    Each replicate takes a keyed weight field and runs the reversed
+    process ``eta_hat`` from the apex alone up to the largest time; it
+    reads only the weights of the apex's backward cluster, and it scores
     rho(apex) at every sample time where that dual run is still alive.
     This is exact in the box, not an approximation.  In the graphical
     construction an arrow x -> y fires at rate lam * rho(x) * rho(y)
@@ -301,7 +337,7 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
         def trial(fld, stream):
             res = run(start, fld, lam, horizon=tmax, seed=stream(1),
                       sample_times=positive)
-            return fld.weights[apex], [count > 0 for _, count, _ in res.occupancy_trace]
+            return fld.at[apex], [count > 0 for _, count, _ in res.occupancy_trace]
 
         # summed in replicate order, as the float sums depend on it
         for w_apex, alive in annealed_map(trial, dist, box, reps, seed):

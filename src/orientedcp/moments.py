@@ -108,13 +108,13 @@ def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
                    reps: int, seed, batch: int = 2048) -> PathCountEstimate:
     """Monte Carlo moments of the open-path count by exact per-draw counting.
 
-    Each replicate draws a fresh weight field, recovery clocks and edge
-    clocks over the whole (n+1)^d box, so the random stream is that of a
-    full-box draw.  The level dynamic program reads only the level sets
-    {coordinate sum = k}: an n-step path from the origin is at level k
-    after k steps, and every vertex below level n has all d out-neighbours
-    in the box.  Batched; the draw order inside a batch is fixed, so
-    results depend on (seed, batch) only.
+    An n-step path from the origin is at level k (coordinate sum k) after
+    k steps, so the level dynamic program reads only the simplex
+    {coordinate sum <= n}, and every vertex below level n has all d
+    out-neighbours in it.  Each replicate draws weights, recovery clocks
+    and edge clocks over the simplex alone, its vertices ordered by level
+    and row-major within a level.  Batched; the draw order inside a batch
+    is fixed, so results depend on (seed, batch) only.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -123,20 +123,25 @@ def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
     nb = lattice.out_neighbor_indices(box)
     level = np.indices(box.shape).reshape(d, V).sum(axis=0)
     layers = [np.flatnonzero(level == k) for k in range(n + 1)]
-    slot = np.empty(V, dtype=np.intp)
-    for layer in layers:
-        slot[layer] = np.arange(len(layer))
-    # step k reads the level-k sources; row i of dst and at holds their
-    # targets along axis i and those targets' slots in the level-(k+1) counts
-    steps = [(src, nb[src].T, slot[nb[src]].T) for src in layers[:-1]]
+    # simplex position of every simplex vertex; level k is the slice
+    # ends[k]:ends[k + 1] of the draws
+    ends = np.cumsum([0] + [len(layer) for layer in layers]).tolist()
+    pos = np.empty(V, dtype=np.intp)
+    pos[np.concatenate(layers)] = np.arange(ends[-1])
+    # step k reads the level-k sources; row i of dst holds their targets'
+    # simplex positions along axis i and row i of at those targets' slots
+    # in the level-(k+1) counts
+    steps = [(slice(ends[k], ends[k + 1]), pos[nb[src]].T, pos[nb[src]].T - ends[k + 1])
+             for k, src in enumerate(layers[:-1])]
+    S = ends[-1]
     rng = rng_from(seed)
     s1 = s2 = s4 = 0.0
     done = 0
     while done < reps:
         B = min(batch, reps - done)
-        w = dist.sample(rng, (B, V))
-        t_vertex = rng.standard_exponential((B, V))
-        raw = rng.standard_exponential((B, d, V))
+        w = dist.sample(rng, (B, S))
+        t_vertex = rng.standard_exponential((B, S))
+        raw = rng.standard_exponential((B, d, S))
         counts = np.ones((B, 1))
         for k, (src, dst, at) in enumerate(steps):
             lam_w = lam * w[:, src]

@@ -1,21 +1,40 @@
-"""Bounded i.i.d. vertex-weight laws and sampled weight fields.
+"""Bounded i.i.d. vertex-weight laws and keyed weight fields.
 
 Every law is a finite table of nonnegative support values with probabilities.
 Continuous densities enter only through a quadrature discretisation, so all
 moment computations downstream are exact sums over the table.
 
-Annealed estimates draw a fresh field and fresh dynamics per replicate,
-and ``annealed_map`` is the one loop that runs them.  Channel c of
-replicate r is the stream ``SeedSequence(seed_key(seed) + [r, c])``:
-channel 0 draws the field, channels 1, 2, ... the trial's own randomness.
-Streams depend on the replicate index alone, so no result depends on the
+Randomness is keyed by counters, so nothing is drawn before it is read.
+
+- Seeds.  ``seed_key`` turns a seed into a list of nonnegative ints, and
+  ``_fold`` hashes that list, 32-bit word by word, into 64 bits.
+- Fields.  ``sample_field(dist, box, seed)`` keeps the folded seed as the
+  field key K.  The weight at site x is the law's quantile of the 53-bit
+  uniform ``mix(K + code(x)) >> 11``, where ``mix`` is the SplitMix64
+  finaliser (Steele, Lea and Flood, OOPSLA 2014) and ``code(x)`` a hash of
+  the site's coordinates (``_site_codes``).  The key is the site, not its
+  vertex index, so boxes of sides L and 2L agree on every site they share.
+  ``WeightField.weights`` hashes the whole box the first time it is read;
+  ``WeightField.at`` hashes one vertex at a time, on its first read.  A
+  one-valued law hashes nothing.
+- Replicates.  ``annealed_map`` runs replicate r on the field
+  ``sample_field(dist, box, seed_key(seed) + [r])``.  Its channel c is the
+  counter-based ``Philox`` stream (Salmon et al., SC 2011) with a 128-bit
+  key folded once from ``seed_key(seed)`` and counter words (r, c).  Each
+  chunk of replicates holds one Generator per channel and resets it for
+  every replicate, so a trial must read each channel once per replicate:
+  a second ``stream(c)`` call restarts channel c.
+
+Every stream depends on (seed, r, c) alone, so no result depends on the
 number of jobs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +129,7 @@ class WeightDistribution:
     def second_moment(self) -> float:
         return float(sum(p * v * v for v, p in zip(self.values, self.probs)))
 
-    @property
+    @functools.cached_property
     def span(self) -> tuple[float, float]:
         """Smallest and largest support value carrying mass."""
         support = [v for v, p in zip(self.values, self.probs) if p > 0]
@@ -143,106 +162,312 @@ class WeightDistribution:
         idx = np.searchsorted(self.cumulative(), rng.random(size), side="right")
         return np.asarray(self.values, dtype=np.float64)[idx]
 
+    @functools.cached_property
+    def _quantiles(self) -> tuple:
+        """(values, thresholds) as arrays, then as lists, for keyed fields.
 
-@dataclass(frozen=True, eq=False)
+        A 53-bit int m maps to values[#{k : thresholds[k] <= m}], with
+        thresholds[k] = ceil(cumulative[k] * 2^53).  That is exactly the
+        quantile that ``sample`` gives the uniform m * 2^-53, in integers.
+        """
+        values = list(self.values)
+        thresholds = [math.ceil(c * 2.0 ** 53) for c in self.cumulative().tolist()]
+        return (np.asarray(values, dtype=np.float64),
+                np.asarray(thresholds, dtype=np.uint64), values, thresholds)
+
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_C1, _C2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U = {k: np.uint64(k) for k in (11, 27, 30, 31, _GOLDEN, _C1, _C2)}
+# starting values of the folds, so the field key, the two words of the
+# stream key and the site codes are unrelated hashes of their inputs
+_FIELD, _STREAM = 0x243F6A8885A308D3, (0x13198A2E03707344, 0xA4093822299F31D0)
+_SITE = 0x082EFA98EC4E6C89
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser, a bijection of 64-bit words, over a uint64
+    array in place; products wrap modulo 2^64.  ``_fold`` and
+    ``_Reads.__missing__`` spell it out on Python ints."""
+    z ^= z >> _U[30]
+    z *= _U[_C1]
+    z ^= z >> _U[27]
+    z *= _U[_C2]
+    z ^= z >> _U[31]
+    return z
+
+
+def _fold(key: list, h: int) -> int:
+    """Hash an entropy list into 64 bits, starting from ``h``.
+
+    Each int enters as its 32-bit words, low word first, each tagged with
+    whether more words of the same int follow.  The encoding is therefore
+    prefix-free, and a seed of 2^64 or more stays distinct from its low
+    64 bits.
+    """
+    for v in key:
+        while True:
+            word, v = v & 0xFFFFFFFF, v >> 32
+            h = ((h ^ (word << 1 | (v > 0))) + _GOLDEN) & _M64
+            h = ((h ^ (h >> 30)) * _C1) & _M64
+            h = ((h ^ (h >> 27)) * _C2) & _M64
+            h ^= h >> 31
+            if not v:
+                break
+    return h
+
+
+@functools.lru_cache(maxsize=64)
+def _site_codes(box: BoxSpec) -> np.ndarray:
+    """(V,) uint64 hash of every vertex's coordinates, row-major.
+
+    A code depends on the coordinates alone, so boxes of different sides
+    agree on the sites they share.  Built once per box, like the
+    neighbour tables.
+    """
+    h = np.full(box.n_vertices, _SITE, dtype=np.uint64)
+    for coord in np.indices(box.shape, dtype=np.uint64).reshape(box.d, -1):
+        h ^= coord
+        h += _U[_GOLDEN]
+        _mix_array(h)
+    h.setflags(write=False)
+    return h
+
+
 class WeightField:
-    """One sampled i.i.d. weight assignment on a box, immutable after creation.
+    """One i.i.d. weight assignment on a box, immutable after creation.
 
-    ``law`` is the law the weights were drawn from, or None.  Equality and
-    hashing are by identity, since the weights are an array.
+    A field holds explicit ``weights``, or it is keyed: ``sample_field``
+    builds it from a law and a seed, and a weight is hashed only when it
+    is read (see the module docstring).  ``law`` is the law the weights
+    were drawn from, or None.  Equality and hashing are by identity.
     """
 
-    box: BoxSpec
-    weights: np.ndarray  # (n_vertices,) float64, row-major
-    law: WeightDistribution | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (self.box.n_vertices,):
-            raise ValueError(f"weights shape {w.shape} != ({self.box.n_vertices},)")
+    def __init__(self, box: BoxSpec, weights, law: WeightDistribution | None = None):
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (box.n_vertices,):
+            raise ValueError(f"weights shape {w.shape} != ({box.n_vertices},)")
         if w.base is not None:
             w = w.copy()  # a view could still change through its base
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self._box, self._law, self._weights = box, law, w
+        self._seed = self._key = self._span = self._at = None
 
-    @cached_property
+    @classmethod
+    def _keyed(cls, box: BoxSpec, law: WeightDistribution, seed: list) -> "WeightField":
+        fld = cls.__new__(cls)
+        fld._box, fld._law, fld._weights, fld._seed = box, law, None, seed
+        fld._key = fld._at = None
+        fld._span = law.span  # the weights come from the law
+        return fld
+
+    def __getstate__(self):
+        return {**self.__dict__, "_at": None}  # a memoryview does not pickle
+
+    def __repr__(self) -> str:
+        return f"WeightField(box={self._box}, law={self._law})"
+
+    @property
+    def box(self) -> BoxSpec:
+        return self._box
+
+    @property
+    def law(self) -> WeightDistribution | None:
+        return self._law
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(V,) float64 weights, row-major and read-only.
+
+        A keyed field hashes the whole box in one vectorised pass on the
+        first read and keeps the array.
+        """
+        if self._weights is None:
+            lo, hi = self._law.span
+            if lo == hi:
+                w = np.full(self._box.n_vertices, hi)
+            else:
+                values, thresholds, _, _ = self._law._quantiles
+                z = _mix_array(_site_codes(self._box) + np.uint64(self._field_key()))
+                w = values[np.searchsorted(thresholds, z >> _U[11], side="right")]
+            w.setflags(write=False)
+            self._weights = w
+        return self._weights
+
+    @property
+    def at(self):
+        """Per-vertex reads: ``fld.at[v]`` is the weight of vertex index v.
+
+        A keyed field hashes a vertex on its first read and keeps the
+        value, so a run pays only for the vertices it reads, and a
+        one-valued law reads nothing.  Explicit or already hashed weights
+        are read through a ``memoryview``.
+        """
+        if self._at is None:
+            self._at = (_Reads(self) if self._weights is None
+                        else memoryview(self._weights))
+        return self._at
+
+    def _field_key(self) -> int:
+        if self._key is None:
+            self._key = _fold(self._seed, _FIELD)
+        return self._key
+
+    @property
     def span(self) -> tuple[float, float]:
         """Smallest and largest support value of the field's law, or the
         field's own extremes without a law.
 
         ``kinetics.run`` takes its weight bound from the span, so the first
         read rejects weights outside it, or negative or non-finite ones.
-        ``sample_field`` fills it in, as its weights come from the law, so
-        a sampled field skips this O(V) check.
+        A keyed field's weights come from its law, so it skips this O(V)
+        check.
         """
-        lo = float(np.minimum.reduce(self.weights))
-        hi = float(np.maximum.reduce(self.weights))
-        if not 0.0 <= lo <= hi < np.inf:
-            raise ValueError(f"weights must be finite and nonnegative, got [{lo}, {hi}]")
-        if self.law is None:
-            return lo, hi
-        span = self.law.span
-        if not span[0] <= lo <= hi <= span[1]:
-            raise ValueError(f"weights [{lo}, {hi}] leave the law's support "
-                             f"[{span[0]}, {span[1]}]")
-        return span
+        if self._span is None:
+            lo = float(np.minimum.reduce(self._weights))
+            hi = float(np.maximum.reduce(self._weights))
+            if not 0.0 <= lo <= hi < np.inf:
+                raise ValueError(f"weights must be finite and nonnegative, got [{lo}, {hi}]")
+            span = (lo, hi)
+            if self._law is not None:
+                span = self._law.span
+                if not span[0] <= lo <= hi <= span[1]:
+                    raise ValueError(f"weights [{lo}, {hi}] leave the law's support "
+                                     f"[{span[0]}, {span[1]}]")
+            self._span = span
+        return self._span
 
     def grid(self) -> np.ndarray:
-        return self.weights.reshape(self.box.shape)
+        return self.weights.reshape(self._box.shape)
+
+
+class _Reads(dict):
+    """The weights of a keyed field by vertex index, hashed on first read.
+
+    Once a sixteenth of the box (at least 64 vertices) has been read, the
+    next miss hashes the whole box in one vectorised pass, which costs
+    about as much as the reads before it, so a run that fills the box
+    pays no more than a full draw.
+    """
+
+    __slots__ = ("_field", "_const", "_codes", "_key", "_values", "_thresholds",
+                 "_limit")
+
+    def __init__(self, fld: WeightField):
+        super().__init__()
+        lo, hi = fld.law.span
+        self._field, self._const = fld, (hi if lo == hi else None)
+        if self._const is None:
+            self._codes = memoryview(_site_codes(fld.box))
+            self._key = fld._field_key()
+            _, _, self._values, self._thresholds = fld.law._quantiles
+            self._limit = max(64, fld.box.n_vertices // 16)
+
+    def __missing__(self, v: int) -> float:
+        if self._const is not None:
+            return self._const
+        if len(self) >= self._limit:
+            self.update(enumerate(self._field.weights.tolist()))
+            return self[v]
+        # the SplitMix64 finaliser of _mix_array, on one Python int
+        z = (self._codes[v] + self._key) & _M64
+        z = ((z ^ (z >> 30)) * _C1) & _M64
+        z = ((z ^ (z >> 27)) * _C2) & _M64
+        w = self._values[bisect_right(self._thresholds, (z ^ (z >> 31)) >> 11)]
+        self[v] = w
+        return w
 
 
 def seed_key(seed) -> list:
     """Normalize an int, int sequence, or SeedSequence to an entropy list.
 
-    Derived streams are spelled seed_key(master) + [replicate, channel] and
-    fed to SeedSequence, so every consumer composes the same way and the key
-    stays JSON-serializable for manifests.
+    Entries must be nonnegative ints; a bool, a negative entry or any
+    other type is rejected with a message that names the seed.  Derived
+    keys are spelled seed_key(master) + [...], so every consumer composes
+    the same way and the key stays JSON-serializable for manifests.  A
+    spawned SeedSequence keeps its spawn key.
     """
     if isinstance(seed, np.random.SeedSequence):
         ent = seed.entropy
-        return [int(v) for v in ent] if isinstance(ent, (list, tuple)) else [int(ent)]
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    if isinstance(seed, (list, tuple)):
-        return [int(v) for v in seed]
-    raise TypeError("seed must be an int, a sequence of ints, or a SeedSequence, "
-                    f"got {type(seed).__name__}")
+        key = (list(ent) if isinstance(ent, (list, tuple, np.ndarray)) else [ent]) \
+            + list(seed.spawn_key)
+    elif isinstance(seed, (list, tuple)):
+        key = list(seed)
+    else:
+        key = [seed]
+    if set(map(type, key)) - {int}:  # the common case of plain ints skips this
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in key):
+            raise TypeError("seed must be a nonnegative int, a sequence of them, "
+                            f"or a SeedSequence, got {seed!r}")
+        key = [int(v) for v in key]
+    if key and min(key) < 0:
+        raise ValueError(f"seed {seed!r} has a negative entry; seeds must be "
+                         "nonnegative")
+    return key
 
 
 def rng_from(seed) -> np.random.Generator:
     """The one seed-to-Generator step used by every sampler.
 
-    A Generator passes through unchanged; anything else (an int, an int
-    sequence, or a SeedSequence) seeds a fresh default Generator through
-    SeedSequence, so equal seeds give equal streams everywhere.
+    A Generator passes through unchanged.  A SeedSequence, or an int or int
+    sequence checked by ``seed_key``, seeds a fresh default Generator, so
+    equal seeds give equal streams everywhere.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+        seed = np.random.SeedSequence(seed_key(seed))
     return np.random.default_rng(seed)
 
 
 def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
-    """Draw an i.i.d. field; the same seed regenerates it bit-exactly.
+    """The i.i.d. field of ``dist`` on ``box`` keyed by ``seed``.
 
-    ``seed`` is anything ``rng_from`` takes; derived streams like
-    (master, replicate) lists are welcome.
+    ``seed`` is anything ``seed_key`` takes.  Equal seeds give equal
+    fields, and boxes of different sides agree on every site they share.
+    Nothing is hashed until a weight is read.
     """
-    fld = WeightField(box=box, weights=dist.sample(rng_from(seed), box.n_vertices),
-                      law=dist)
-    fld.__dict__["span"] = dist.span
-    return fld
+    return WeightField._keyed(box, dist, seed_key(seed))
+
+
+def _stream_key(key: list) -> np.ndarray:
+    """The 128-bit Philox key of a seed key."""
+    return np.array([_fold(key, h) for h in _STREAM], dtype=np.uint64)
+
+
+class _Channels:
+    """One Philox Generator per channel, restarted for every replicate."""
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+        self._open: dict = {}
+
+    def __call__(self, r: int, c: int) -> np.random.Generator:
+        entry = self._open.get(c)
+        if entry is None:
+            bits = np.random.Philox(key=self._key)
+            entry = self._open[c] = (bits, np.random.Generator(bits), bits.state)
+        bits, gen, state = entry
+        # counter words 2 and 3 name the stream; words 0 and 1 count its
+        # blocks, and the saved state holds an empty output buffer
+        counter = state["state"]["counter"]
+        counter[2], counter[3] = r, c
+        bits.state = state
+        return gen
 
 
 def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
                  jobs: int = 1) -> list:
     """``trial(fld, stream)`` over replicates 0..reps-1, results in replicate order.
 
-    ``fld`` is drawn from ``stream(0)``, and ``stream(c)`` is the replicate's
-    channel c (see the module docstring).  More than one job splits
-    range(reps) over a process pool; ``trial`` must then pickle (a
-    module-level function or a ``functools.partial`` of one).
+    ``fld`` is ``sample_field(dist, box, seed_key(seed) + [r])`` and
+    ``stream(c)`` is the replicate's channel c, a Generator at the start of
+    its stream (see the module docstring).  A trial reads each channel once
+    per replicate.  More than one job splits range(reps) over a process
+    pool; ``trial`` must then pickle (a module-level function or a
+    ``functools.partial`` of one).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -259,11 +484,12 @@ def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
 
 
 def _replicates(trial, dist, box, key, r0, r1) -> list:
+    channels = _Channels(_stream_key(key))
     out = []
     for r in range(r0, r1):
         def stream(c, r=r):
-            return np.random.SeedSequence(key + [r, c])
-        out.append(trial(sample_field(dist, box, stream(0)), stream))
+            return channels(r, c)
+        out.append(trial(sample_field(dist, box, key + [r]), stream))
     return out
 
 

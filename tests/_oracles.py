@@ -230,14 +230,21 @@ class PathPercolation:
 
 def sample_path_percolation(fld: WeightField, lam: float, seed) -> PathPercolation:
     """Draw all clocks in a fixed order; equal seeds give equal draws."""
+    rng = rng_from(seed)
+    t_vertex = rng.standard_exponential(fld.box.n_vertices)
+    raw = rng.standard_exponential((fld.box.d, fld.box.n_vertices))
+    return path_percolation(fld, lam, t_vertex, raw)
+
+
+def path_percolation(fld: WeightField, lam: float, t_vertex: np.ndarray,
+                     raw: np.ndarray) -> PathPercolation:
+    """The percolation of given recovery clocks (V,) and unit-rate edge
+    clocks (d, V), each edge clock scaled by its edge's rate."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     box = fld.box
-    rng = rng_from(seed)
     V = box.n_vertices
     rho = fld.weights
-    t_vertex = rng.standard_exponential(V)
-    raw = rng.standard_exponential((box.d, V))
     nb = lattice.out_neighbor_indices(box)
     rates = np.zeros((box.d, V))
     for i in range(box.d):

@@ -301,3 +301,27 @@ def test_jobs_do_not_change_results(tmp_path):
     with open(os.path.join(out_b, "zeta.csv"), "rb") as fh:
         b = fh.read()
     assert a == b
+
+
+@pytest.mark.parametrize("name, sets", [
+    ("critscan", ("d=2", "L=5", "horizon=6.0", "reps_per_probe=150", "tol=0.1",
+                  "check_box=true", "seed=1")),
+    ("f-decay", ("box.d=2", "lambda=0.3", "reps=200", "times=0,1,2",
+                 "dist.kind=two_point", "dist.p=0.6", "seed=5")),
+    ("simulate", ("lambda=0.9", "box.L=4", "horizon=2.0", "reps=5",
+                  "dist.kind=table", "dist.values=0.5,1.5", "dist.probs=0.5,0.5",
+                  "seed=7")),
+], ids=["critscan", "f-decay", "simulate"])
+def test_jobs_give_byte_identical_artifacts(tmp_path, name, sets):
+    outs = []
+    for jobs in ("1", "2"):
+        rc, out = _run(tmp_path, name, *sets, out=str(tmp_path / jobs),
+                       extra=("--jobs", jobs))
+        assert rc == 0
+        outs.append(out)
+    arts = sorted(set(os.listdir(outs[0])) - {"manifest.json"})
+    assert arts == sorted(set(os.listdir(outs[1])) - {"manifest.json"}) and arts
+    for art in arts:
+        with open(os.path.join(outs[0], art), "rb") as fa, \
+                open(os.path.join(outs[1], art), "rb") as fb:
+            assert fa.read() == fb.read(), art

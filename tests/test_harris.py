@@ -287,11 +287,11 @@ def test_build_and_thin_golden_event_tables():
     rep = build(box, fld, 0.8, 3.0, seed=6)
     lo, hi = thin_arrows(rep, [0.3, 0.9], seed=7)
     assert _digest(rep) == (
-        268, "c94d549a0acc26bb8ceba1ea575f676b14ed7f3a56c2cbb2ff90a133c7cf080b")
+        271, "e35c7e89ba5769e3c1aea92f4a017bf4f924491a5cd77ec6dfac9afa29671c5c")
     assert _digest(lo) == (
-        196, "dc7c3525dd5ca155b55453bb6a9b64a32a49fd861117f45555762c574962df56")
+        196, "3e69d6f72efb00eef50bf3d193fbd1e7f27fbf8c4646a67e628c92b2fc2edbfe")
     assert _digest(hi) == (
-        259, "f9f6b0689815fa420c329227bea0b290b11e45141661e61a9fe1d859b0137477")
+        262, "fb67aaa3797767d7f26f8ec2cfe959923830d552178e9ffd377f65fad32d2206")
     for r in (rep, lo, hi):
         assert np.array_equal(np.lexsort((r.b, r.a, r.kinds, r.times)),
                               np.arange(r.n_events()))

@@ -7,27 +7,35 @@ from scipy.linalg import expm
 
 from _oracles import run_next_reaction, step_rates
 from orientedcp import kinetics, lattice
-from orientedcp.kinetics import (ETA, ETA_HAT, INFECTED, REMOVED, ZETA,
+from orientedcp.kinetics import (ETA, ETA_HAT, HEALTHY, INFECTED, REMOVED, ZETA,
                                  Configuration, decay_envelope, run,
                                  weighted_origin_occupancy)
 from orientedcp.lattice import BoxSpec
-from orientedcp.weights import WeightDistribution, constant_field, sample_field
+from orientedcp.weights import (WeightDistribution, annealed_map, constant_field,
+                                sample_field)
 
 
 def _idx(box, x):
     return lattice.vertex_index(box, x)
 
 
+def _config(box, mode=ETA, fill=HEALTHY, at=None):
+    """A configuration at state ``fill`` except the vertex states in
+    ``at``; ``cfg.states`` is read-only once built."""
+    st = np.full(box.n_vertices, fill, dtype=np.int8)
+    for x, state in (at or {}).items():
+        st[_idx(box, x)] = state
+    return Configuration(box, st, mode=mode)
+
+
 def _all_healthy(box, mode=ETA):
-    return Configuration(box, np.zeros(box.n_vertices, dtype=np.int8), mode=mode)
+    return _config(box, mode)
 
 
 def test_step_rates_two_infected_in_neighbors():
     box = BoxSpec(d=2, side=2)
     fld = constant_field(1.0, box)
-    cfg = _all_healthy(box)
-    cfg.states[_idx(box, (0, 1))] = INFECTED
-    cfg.states[_idx(box, (1, 0))] = INFECTED
+    cfg = _config(box, at={(0, 1): INFECTED, (1, 0): INFECTED})
     rates = step_rates(cfg, fld, 1.0)
     assert rates[_idx(box, (1, 1))] == pytest.approx(2.0)
     assert rates[_idx(box, (0, 1))] == 1.0  # recovery
@@ -37,9 +45,7 @@ def test_step_rates_two_infected_in_neighbors():
 def test_step_rates_eta_hat_uses_out_neighbors():
     box = BoxSpec(d=2, side=2)
     fld = constant_field(1.0, box)
-    cfg = _all_healthy(box, mode=ETA_HAT)
-    cfg.states[_idx(box, (0, 1))] = INFECTED
-    cfg.states[_idx(box, (1, 0))] = INFECTED
+    cfg = _config(box, ETA_HAT, at={(0, 1): INFECTED, (1, 0): INFECTED})
     rates = step_rates(cfg, fld, 1.0)
     assert rates[_idx(box, (0, 0))] == pytest.approx(2.0)
     assert rates[_idx(box, (1, 1))] == 0.0
@@ -48,8 +54,7 @@ def test_step_rates_eta_hat_uses_out_neighbors():
 def test_step_rates_zeta_removed_is_silent():
     box = BoxSpec(d=2, side=2)
     fld = constant_field(1.0, box)
-    cfg = Configuration.all_infected(box, mode=ZETA)
-    cfg.states[_idx(box, (1, 1))] = REMOVED
+    cfg = _config(box, ZETA, INFECTED, at={(1, 1): REMOVED})
     rates = step_rates(cfg, fld, 1.0)
     assert rates[_idx(box, (1, 1))] == 0.0
 
@@ -59,8 +64,7 @@ def test_step_rates_zero_weight_never_infected():
     w = np.ones(box.n_vertices)
     w[_idx(box, (1, 1))] = 0.0
     fld = kinetics.WeightField(box=box, weights=w)
-    cfg = Configuration.all_infected(box)
-    cfg.states[_idx(box, (1, 1))] = 0
+    cfg = _config(box, ETA, INFECTED, at={(1, 1): HEALTHY})
     rates = step_rates(cfg, fld, 5.0)
     assert rates[_idx(box, (1, 1))] == 0.0
 
@@ -235,13 +239,20 @@ def test_run_determinism_bit_exact():
     assert a.extinction_time == b.extinction_time
     assert a.occupancy_trace == b.occupancy_trace
     assert a.probe_trace == b.probe_trace
-    # callers reuse one start configuration across replicates
+    # callers reuse one start configuration across replicates: its states
+    # are read-only, and each run restores the buffer it borrows, so a
+    # second run from the same configuration repeats the first
     for mode in (ETA, ETA_HAT, ZETA):
         for cfg in (Configuration.all_infected(box, mode=mode),
                     Configuration.single_seed(box, mode=mode)):
             before = cfg.states.copy()
-            run(cfg, fld, 0.9, 3.0, seed=77, **kw)
+            first = run(cfg, fld, 0.9, 3.0, seed=77, **kw)
+            again = run(cfg, fld, 0.9, 3.0, seed=77, **kw)
             assert np.array_equal(cfg.states, before)
+            assert (first.extinction_time, first.occupancy_trace, first.probe_trace) \
+                == (again.extinction_time, again.occupancy_trace, again.probe_trace)
+            with pytest.raises(ValueError, match="read-only"):
+                cfg.states[0] = 0
 
 
 def _digest(rows) -> str:
@@ -264,7 +275,7 @@ def test_run_golden_digests():
                                  res.occupancy_trace, res.probe_trace))
     assert len(rows) == 36
     assert _digest(rows) == \
-        "6803c5399a7e8d3f12fe6de081057b1e501f7656d73efa429f5a5388cc297f8c"
+        "5ec0914d69f02d66b96ebd71652483435fefc65bcbabe14fce70f207a26f0202"
 
     # long supercritical runs that cross several batches of draws
     box = BoxSpec(3, 8)
@@ -384,3 +395,47 @@ def test_constant_weight_scaling_equivalence():
         assert a.extinction_time == b.extinction_time
         assert [(t, n) for t, n, _ in a.occupancy_trace] == \
             [(t, n) for t, n, _ in b.occupancy_trace]
+
+
+# Keyed weights and counter-based streams couple boxes of different sides:
+# a run that never reaches the smaller box's far faces makes the same
+# choices in both and reads the same weights.  Together these stand in for
+# a timing gate on "per-replicate setup does not grow with V".
+SPREAD = WeightDistribution.from_table([0.5, 1.0, 2.0], [0.3, 0.4, 0.3])
+
+
+def _coupled(side):
+    box = BoxSpec(3, side)
+    start = Configuration.single_seed(box)
+    lam = 0.3 / (3 * SPREAD.second_moment)
+
+    def trial(fld, stream):
+        res = run(start, fld, lam, 4.0, seed=stream(1))
+        sites = sorted(tuple(int(c) for c in np.unravel_index(v, box.shape))
+                       for v in fld.at)
+        return res.extinction_time, sites, fld._weights is None
+
+    return annealed_map(trial, SPREAD, box, 200, seed=[13, 3])
+
+
+def test_boxes_of_two_sides_give_identical_runs_from_the_origin():
+    small, big = _coupled(8), _coupled(16)
+    assert [t for t, _, _ in small] == [t for t, _, _ in big]
+    assert len({t for t, _, _ in small}) > 100  # the runs do differ
+
+
+def test_runs_read_the_same_weights_whatever_the_box_side():
+    small, big = _coupled(8), _coupled(16)
+    assert [s for _, s, _ in small] == [s for _, s, _ in big]
+    reads = [len(s) for _, s, _ in small]
+    assert sum(reads) > 0 and max(reads) < 64
+    # no replicate hashed its whole box
+    assert all(lazy for _, _, lazy in small + big)
+
+
+def test_run_without_transmission_reads_no_weight():
+    box = BoxSpec(3, 8)
+    fld = sample_field(SPREAD, box, 4)
+    for start in (Configuration.single_seed(box), Configuration.all_infected(box)):
+        run(start, fld, 0.0, 4.0, seed=5)
+    assert len(fld.at) == 0 and fld._weights is None

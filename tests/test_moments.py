@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from _oracles import (PathPercolation, count_paths, pair_factor,
-                      sample_path_percolation)
+                      path_percolation, sample_path_percolation)
 from orientedcp import lattice
 from orientedcp.lattice import BoxSpec
 from orientedcp.moments import (TransferOperator, count_paths_mc,
@@ -200,19 +200,27 @@ def test_count_paths_mc_matches_exact_moments():
 
 def test_count_paths_mc_per_draw_matches_full_box_oracle():
     # One replicate per call: redraw its weights, recovery clocks and edge
-    # clocks from the same stream and count on the full box, which reads
-    # every vertex rather than the level sets.  A (V,) draw consumes the
-    # stream exactly as a (1, V) draw does.
+    # clocks over the simplex {coordinate sum <= n} from the same stream,
+    # embed them in the full box (weight 0 and never-firing edge clocks
+    # off the simplex), and count on the full box, which reads every
+    # vertex rather than the level sets.  A (S,) draw consumes the stream
+    # exactly as a (1, S) draw does.
     for dist in LAWS:
         for d in (1, 2, 3, 4):
             for n in (0, 1, 3, 5):
                 box = BoxSpec(d, max(n, 1))
+                V = box.n_vertices
+                level = np.indices(box.shape).reshape(d, V).sum(axis=0)
+                simplex = np.argsort(level, kind="stable")[:int((level <= n).sum())]
                 for s in range(40):
                     est = count_paths_mc(dist, d, 0.9, n, reps=1, seed=[s], batch=1)
                     rng = rng_from([s])
-                    fld = WeightField(box=box, weights=dist.sample(rng, box.n_vertices),
-                                      law=dist)
-                    perc = sample_path_percolation(fld, 0.9, rng)
+                    w, t_vertex, raw = np.zeros(V), np.zeros(V), np.full((d, V), np.inf)
+                    w[simplex] = dist.sample(rng, len(simplex))
+                    t_vertex[simplex] = rng.standard_exponential(len(simplex))
+                    raw[:, simplex] = rng.standard_exponential((d, len(simplex)))
+                    fld = WeightField(box=box, weights=w)
+                    perc = path_percolation(fld, 0.9, t_vertex, raw)
                     assert count_paths(perc, n) == est.mean, (dist.kind, d, n, s)
 
 
@@ -373,7 +381,7 @@ def test_count_paths_mc_golden_digest():
                              float(e.second_moment), float(e.se_second)))
     assert len(rows) == 48
     assert _digest(rows) == \
-        "f931f524bdd4e42c0f6e4b6e34c3b7f95c05bd3a8206347c0aa8426533d8d7e4"
+        "4ce99e8d3aad78e0064a019afb06177a6e2d3433ecd7c2158819a634a1200fee"
 
 
 def test_sampled_ratio_golden_digest():

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -152,10 +153,43 @@ def test_constant_field():
 def test_seed_key_forms():
     assert seed_key(5) == [5]
     assert seed_key([2, 3]) == [2, 3]
+    assert seed_key((2, np.int64(3))) == [2, 3]
     assert seed_key(np.random.SeedSequence(17)) == [17]
     assert seed_key(np.random.SeedSequence([4, 5])) == [4, 5]
+    # a spawned child keeps its spawn key, so siblings stay distinct
+    kids = np.random.SeedSequence(17).spawn(2)
+    assert seed_key(kids[0]) == [17, 0] and seed_key(kids[1]) == [17, 1]
     with pytest.raises(TypeError):
         seed_key("nope")
+
+
+def test_seed_key_rejects_negative_and_bool_seeds():
+    for bad in (-1, [3, -2], (np.int64(-5),)):
+        with pytest.raises(ValueError, match=r"seed .*-[125].* negative entry"):
+            seed_key(bad)
+    for bad in (True, [1, False], 1.5):
+        with pytest.raises(TypeError, match=f"got {re.escape(repr(bad))}"):
+            seed_key(bad)
+    with pytest.raises(ValueError, match="negative"):
+        rng_from(-3)
+    with pytest.raises(ValueError, match="negative"):
+        sample_field(WeightDistribution.two_point(0.5), BoxSpec(2, 2), [-1])
+
+
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    rc = cli.main(["walks", "--set", "d=2", "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "seed -1 has a negative entry" in capsys.readouterr().err
+
+
+def test_large_seeds_stay_distinct_from_their_low_bits():
+    box = BoxSpec(d=2, side=15)
+    dist = WeightDistribution.two_point(0.5)
+    seeds = (5, 2 ** 64 + 5, 2 ** 128 + 5, [5, 1], [5, 0, 1], [2 ** 32 + 5])
+    fields = [sample_field(dist, box, s).weights.tobytes() for s in seeds]
+    assert len(set(fields)) == len(seeds)
+    keys = [weights._stream_key(seed_key(s)).tolist() for s in seeds]
+    assert len({tuple(k) for k in keys}) == len(seeds)
 
 
 def test_seed_key_streams_are_composable():
@@ -176,23 +210,101 @@ def test_rng_from_matches_seed_sequence_streams():
     assert rng_from(gen) is gen
 
 
+THREE = WeightDistribution.from_table([0.3, 1.1, 1.7], [0.2, 0.5, 0.3])
+
+
+def test_keyed_weights_chi_square():
+    box = BoxSpec(d=2, side=399)  # 160 000 sites
+    w = sample_field(THREE, box, [21, 4]).weights
+    counts = [int((w == v).sum()) for v in THREE.values]
+    assert sum(counts) == box.n_vertices  # every weight is a support value
+    _, pval = sps.chisquare(counts, [p * box.n_vertices for p in THREE.probs])
+    assert pval > 0.001
+
+
+def test_keyed_weights_lag_one_correlations():
+    # neighbours along each axis, and one site in replicates r and r + 1,
+    # are uncorrelated: |rho_hat| < 4 / sqrt(n)
+    box = BoxSpec(d=3, side=49)
+    key = seed_key([33, 2])
+    grids = [sample_field(THREE, box, key + [r]).grid() for r in range(3)]
+    for g in grids:
+        for axis in range(box.d):
+            a = np.take(g, range(box.side), axis=axis).ravel()
+            b = np.take(g, range(1, box.side + 1), axis=axis).ravel()
+            assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(a.size), axis
+    for g, h in zip(grids, grids[1:]):
+        assert abs(np.corrcoef(g.ravel(), h.ravel())[0, 1]) < 4.0 / np.sqrt(g.size)
+
+
+def test_per_vertex_reads_equal_the_full_array():
+    box = BoxSpec(d=3, side=8)
+    order = np.random.default_rng(4).permutation(box.n_vertices).tolist()
+    for law in (THREE, WeightDistribution.two_point(0.3),
+                WeightDistribution.from_table([0.5, 1.0, 2.5], [0.5, 0.5, 0.0])):
+        full = sample_field(law, box, [8, 1]).weights
+        # read vertex by vertex, past the point where the rest is hashed
+        # in one pass; then read the array of a field read a little first
+        lazy = sample_field(law, box, [8, 1])
+        assert [lazy.at[v] for v in order] == full[order].tolist()
+        assert np.array_equal(lazy.weights, full)
+        mixed = sample_field(law, box, [8, 1])
+        assert [mixed.at[v] for v in order[:10]] == full[order[:10]].tolist()
+        assert np.array_equal(mixed.weights, full)
+    # a one-valued law hashes and stores nothing
+    const = sample_field(WeightDistribution.constant(2.0), box, 1)
+    assert const.at[5] == 2.0 and len(const.at) == 0
+    assert np.array_equal(const.weights, np.full(box.n_vertices, 2.0))
+
+
+def test_boxes_of_two_sides_share_their_common_weights():
+    small = sample_field(THREE, BoxSpec(d=3, side=8), [3, 7]).grid()
+    big = sample_field(THREE, BoxSpec(d=3, side=16), [3, 7]).grid()
+    assert np.array_equal(big[:9, :9, :9], small)
+
+
 def _record(fld, stream):
     # module level, so the process pool can pickle it
-    return [fld.weights.tolist(), stream(1).entropy, stream(3).entropy]
+    return [fld.weights.tolist(), stream(1).random(3).tolist(),
+            stream(3).random(3).tolist()]
 
 
 def test_annealed_map_streams_and_order():
+    # replicate r runs on sample_field(..., seed_key(seed) + [r]); its
+    # channel c is Philox under the seed's stream key at counter words
+    # (r, c); the layout does not depend on the number of jobs
     box = BoxSpec(d=2, side=3)
-    dist = WeightDistribution.from_table([0.3, 1.1, 1.7], [0.2, 0.5, 0.3])
     seed = [9, 4]
-    out = annealed_map(_record, dist, box, 5, seed)
+    out = annealed_map(_record, THREE, box, 5, seed)
     assert len(out) == 5
-    for r, (w, e1, e3) in enumerate(out):
-        want = sample_field(dist, box, np.random.SeedSequence(seed_key(seed) + [r, 0]))
-        assert w == want.weights.tolist()
-        assert e1 == seed_key(seed) + [r, 1]
-        assert e3 == seed_key(seed) + [r, 3]
-    assert annealed_map(_record, dist, box, 5, seed, jobs=2) == out
+    key = weights._stream_key(seed_key(seed))
+    for r, (w, ch1, ch3) in enumerate(out):
+        assert w == sample_field(THREE, box, seed_key(seed) + [r]).weights.tolist()
+        for c, got in ((1, ch1), (3, ch3)):
+            bits = np.random.Philox(key=key, counter=[0, 0, r, c])
+            assert got == np.random.Generator(bits).random(3).tolist()
+    assert annealed_map(_record, THREE, box, 5, seed, jobs=2) == out
+    other = annealed_map(_record, THREE, box, 5, [9, 5])
+    assert all(a[1] != b[1] and a[2] != b[2] for a, b in zip(out, other))
+
+
+def _interleaved(fld, stream):
+    one, two = stream(1), stream(2)
+    return [[one.random(), two.random()] for _ in range(4)]
+
+
+def _alone(fld, stream):
+    return [stream(1).random(4).tolist(), stream(2).random(4).tolist()]
+
+
+def test_channels_read_interleaved_equal_channels_read_alone():
+    # each channel reuses one Generator per chunk; interleaving the reads
+    # of channels 1 and 2 must not mix their draws
+    box = BoxSpec(d=2, side=3)
+    for jobs in (1, 2):
+        mixed = annealed_map(_interleaved, THREE, box, 4, 6, jobs=jobs)
+        alone = annealed_map(_alone, THREE, box, 4, 6, jobs=jobs)
+        assert [np.array(m).T.tolist() for m in mixed] == alone
 
 
 def test_annealed_map_rejects_zero_reps():
@@ -211,30 +323,30 @@ def test_survival_probability_golden():
     for jobs in (1, 2):
         est = critfind.survival_probability(TWO_POINT, 2, 5, 0.9, 4.0, 60, seed=11,
                                             jobs=jobs)
-        assert est.p_hat == 9 / 60
+        assert est.p_hat == 6 / 60
 
 
 def test_survival_indicators_nested_golden():
     ind = nested_survival(TWO_POINT, 2, 4, [0.5, 0.8, 1.2], 3.0, 40, seed=8)
-    assert ind.shape == (40, 3) and ind.sum(axis=0).tolist() == [5, 7, 9]
+    assert ind.shape == (40, 3) and ind.sum(axis=0).tolist() == [9, 12, 13]
     assert hashlib.sha256(ind.tobytes()).hexdigest() == \
-        "228f73b2f2458b6270bcde2d68ab3452ffaba5b533d24dc681c3e6156676a136"
+        "249f4e75c72360b808d9a9366b28ebe0fc06d89ec3b64ac3c8e197e8d5b048d4"
 
 
 def test_weighted_origin_occupancy_golden():
     dist = WeightDistribution.from_table([0.3, 1.1, 1.7], [0.2, 0.5, 0.3])
     occ = kinetics.weighted_origin_occupancy(dist, 2, 0.35, [0.0, 0.5, 1.5, 3.0], 40,
                                              seed=9)
-    assert repr(occ.values) == "(1.12, 0.7475000000000003, 0.3974999999999999, 0.11249999999999998)"
-    assert repr(occ.standard_errors) == ("(0.0, 0.10148814585950419, "
-                                         "0.091889029541072, 0.05581078524801456)")
+    assert repr(occ.values) == "(1.12, 0.7150000000000001, 0.48250000000000004, 0.40499999999999997)"
+    assert repr(occ.standard_errors) == ("(0.0, 0.10963291020491978, "
+                                         "0.10546844907364479, 0.10111565160745395)")
 
 
 def test_duality_annealed_and_sweeps_golden():
     box = BoxSpec(2, 4)
     est = harris.duality_annealed(TWO_POINT, box, 0.8, 2.0, 50, seed=12)
     assert (est.p_forward_all, est.p_dual_process, est.p_forward_origin) == \
-        (16 / 50, 14 / 50, 7 / 50)
+        (15 / 50, 18 / 50, 12 / 50)
     for jobs in (1, 2):
         for sweep in (harris.duality_sweep, harris.coupling_sweep):
             rep = sweep(TWO_POINT, box, 0.8, 2.0, 40, seed=5, jobs=jobs)
@@ -243,9 +355,9 @@ def test_duality_annealed_and_sweeps_golden():
 
 @pytest.mark.parametrize("sets, digest", [
     (["start=origin"],
-     "a9670b66f689c3edf36dbf614e260bf175a8fa6726fc7bcabcdcd37f71d51f73"),
+     "97aeb1f4675c3f89c2f81ca1e624ac5c015f9480b59e234ccbaea8722e949de5"),
     (["start=all", "mode=zeta"],
-     "946b808b6b8702bdd165d9dd0cd16783eaa26e807a7e9bc5374ba6715d21f36c"),
+     "d4b01c14f63defa2d18691e9b5f2cdc10232a87b0b74e89a64f8f36aece0aa88"),
 ], ids=["origin", "all-zeta"])
 def test_simulate_trace_golden(tmp_path, sets, digest):
     out = str(tmp_path / "sim")
