@@ -18,8 +18,6 @@ import os
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import __version__, critfind, harris, kinetics, moments, walks
 from .errors import ResourceLimitError, ScanError
 from .lattice import BoxSpec
@@ -85,6 +83,8 @@ _SCHEMAS = {
 }
 
 _NO_DIST = {"walks", "report"}
+
+_MANIFEST_KEYS = ("subcommand", "seed", "manifest_hash", "outputs")
 
 _DIST_KEYS_BY_KIND = {
     "constant": {"dist.kind", "dist.c"},
@@ -154,8 +154,8 @@ def resolve_config(sub: str, file_cfg: dict, set_pairs, seed_flag):
 # ---------------------------------------------------------------------------
 # subcommand handlers: cfg -> artifact files (list of names under out_dir)
 
-def _simulate_trial(start, lam, horizon, times, fld, stream) -> list:
-    return kinetics.run(start, fld, lam, horizon, seed=stream(1),
+def _simulate_trial(start, lam, horizon, times, fld, rng) -> list:
+    return kinetics.run(start, fld, lam, horizon, seed=rng,
                         sample_times=times).occupancy_trace
 
 
@@ -235,9 +235,8 @@ def _cmd_moments(cfg, dist, out, jobs, digest):
     rows = []
     for i, n in enumerate(cfg["n"]):
         exact = moments.expected_path_count(dist, d, lam, n)
-        mr = moments.path_count_moment_ratio(
-            dist, d, lam, n, walk_samples=ws,
-            seed=np.random.SeedSequence(key + [i]))
+        mr = moments.path_count_moment_ratio(dist, d, lam, n, walk_samples=ws,
+                                             seed=key + [i])
         rows.append((d, n, lam, dist.label, exact, mr.value, mr.se, mr.survival_lb))
     write_csv(os.path.join(out, "moments.csv"),
               ["d", "n", "lambda", "dist_id", "expected_count_exact",
@@ -268,7 +267,7 @@ def _cmd_walks(cfg, dist, out, jobs, digest):
     rows = []
     for i, d in enumerate(cfg["d"]):
         est = walks.meet_probability(d, cfg["horizon"], cfg["samples"],
-                                     seed=np.random.SeedSequence(key + [i]))
+                                     seed=key + [i])
         rows.append((d, est.horizon, est.samples, est.q_hat, est.se,
                      est.d2_scaled, est.censored_fraction))
     write_csv(os.path.join(out, "walks.csv"),
@@ -328,22 +327,30 @@ def _cmd_critscan(cfg, dist, out, jobs, digest):
     return ["probes.csv", "critscan.json", "critscan.svg"]
 
 
+def _read_manifest(path: str) -> dict:
+    """The fields of a run manifest that ``report`` lists; anything that is
+    not a manifest raises ValueError naming the path, before any output."""
+    try:
+        with open(path) as fh:
+            man = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ValueError(f"cannot read {path}: {e}") from e
+    if not (isinstance(man, dict) and all(k in man for k in _MANIFEST_KEYS)
+            and isinstance(man["manifest_hash"], str)
+            and isinstance(man["outputs"], list)
+            and all(isinstance(o, str) for o in man["outputs"])):
+        raise ValueError(f"{path} is not a run manifest: expected an object with "
+                         "subcommand, seed, a string manifest_hash and a list "
+                         "of outputs")
+    return {k: man[k] for k in _MANIFEST_KEYS}
+
+
 def _cmd_report(cfg, dist, out, jobs, digest):
     dirs = [p for p in cfg["dirs"].split(",") if p.strip()]
     if not dirs:
         raise ValueError("dirs must list at least one run directory")
-    entries = []
-    for p in dirs:
-        path = os.path.join(p, "manifest.json")
-        try:
-            with open(path) as fh:
-                man = json.load(fh)
-        except OSError as e:
-            raise ValueError(f"cannot read {path}: {e}") from e
-        entries.append({"dir": p, "subcommand": man.get("subcommand"),
-                        "seed": man.get("seed"),
-                        "manifest_hash": man.get("manifest_hash"),
-                        "outputs": man.get("outputs", [])})
+    entries = [{"dir": p, **_read_manifest(os.path.join(p, "manifest.json"))}
+               for p in dirs]
     write_json(os.path.join(out, "report.json"), {"runs": entries})
     lines = ["# run summary", ""]
     for e in entries:

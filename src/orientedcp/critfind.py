@@ -35,8 +35,8 @@ class SurvivalEstimate:
     se: float
 
 
-def _survives(start, lam, horizon, fld, stream) -> bool:
-    return run(start, fld, lam, horizon, seed=stream(1)).survived
+def _survives(start, lam, horizon, fld, rng) -> bool:
+    return run(start, fld, lam, horizon, seed=rng).survived
 
 
 def survival_probability(dist: WeightDistribution, d: int, side: int, lam: float,

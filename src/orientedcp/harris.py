@@ -81,8 +81,9 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
     seeds give equal structures regardless of how they are later read.
     Edges with zero rate get no stream at all.
     """
-    if lam < 0 or horizon <= 0:
-        raise ValueError("need lam >= 0 and horizon > 0")
+    if not (lam >= 0 and horizon > 0):
+        raise ValueError(f"need lam >= 0 and horizon > 0, got lam={lam}, "
+                         f"horizon={horizon}")
     rng = rng_from(seed)
     V = box.n_vertices
     rho = fld.weights
@@ -253,24 +254,25 @@ class DualityEstimate:
         return math.sqrt(sa * sa + sb * sb)
 
 
-def _annealed_trial(dist, lam, horizon, apex, fld, stream) -> tuple:
+def _annealed_trial(dist, lam, horizon, apex, fld, rng) -> tuple:
     """The three indicators of one replicate, each on its own field and rep.
 
-    The second and third fields are keyed by two draws from channel 2.
+    All three reps and the keys of the second and third fields come from
+    the replicate's one stream, read in the order they are built.
     """
     box = fld.box
-    rep = build(box, fld, lam, horizon, stream(1))
+    rep = build(box, fld, lam, horizon, rng)
     fwd_all = apex in percolate_forward(rep, "all")
-    keys = stream(2).integers(1 << 63, size=2).tolist()
-    rep = build(box, sample_field(dist, box, keys[0]), lam, horizon, stream(3))
+    keys = rng.integers(1 << 63, size=2).tolist()
+    rep = build(box, sample_field(dist, box, keys[0]), lam, horizon, rng)
     dual = bool(percolate_dual(rep, [apex]))
-    rep = build(box, sample_field(dist, box, keys[1]), lam, horizon, stream(4))
+    rep = build(box, sample_field(dist, box, keys[1]), lam, horizon, rng)
     return fwd_all, dual, bool(percolate_forward(rep, [0]))
 
 
 def duality_annealed(dist: WeightDistribution, box: BoxSpec, lam: float,
                      horizon: float, reps: int, seed: int) -> DualityEstimate:
-    """Estimate the three annealed indicators with separate random streams.
+    """Estimate the three annealed indicators on separate fields and reps.
 
     Each replicate draws a fresh weight field and a fresh event structure.
     In the annealed law all three probabilities coincide: the first two by
@@ -301,13 +303,13 @@ class CheckReport:
         return 1.0 - self.failures / self.reps
 
 
-def _duality_trial(lam, horizon, fld, stream) -> bool:
-    fwd, rev = duality_check(build(fld.box, fld, lam, horizon, stream(1)))
+def _duality_trial(lam, horizon, fld, rng) -> bool:
+    fwd, rev = duality_check(build(fld.box, fld, lam, horizon, rng))
     return fwd != rev
 
 
-def _coupling_trial(lam, horizon, fld, stream) -> bool:
-    return not removal_coupling_check(build(fld.box, fld, lam, horizon, stream(1)))
+def _coupling_trial(lam, horizon, fld, rng) -> bool:
+    return not removal_coupling_check(build(fld.box, fld, lam, horizon, rng))
 
 
 def duality_sweep(dist: WeightDistribution, box: BoxSpec, lam: float,

@@ -163,9 +163,9 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     the module docstring).  Identical (cfg, fld, lam, horizon, seed)
     reproduce the result exactly.  ``cfg`` is not modified.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if cfg.mode not in _MODES:
         raise ValueError(f"unknown mode {cfg.mode!r}")
@@ -334,8 +334,8 @@ def weighted_origin_occupancy(dist: WeightDistribution, d: int, lam: float,
     if positive:
         start = Configuration.single_seed(box, box.apex, mode=ETA_HAT)
 
-        def trial(fld, stream):
-            res = run(start, fld, lam, horizon=tmax, seed=stream(1),
+        def trial(fld, rng):
+            res = run(start, fld, lam, horizon=tmax, seed=rng,
                       sample_times=positive)
             return fld.at[apex], [count > 0 for _, count, _ in res.occupancy_trace]
 

@@ -267,7 +267,7 @@ class MomentRatio:
 
 
 def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int,
-                            walk_samples: int | None = None, seed=None,
+                            walk_samples: int | None = None, seed=0,
                             use_bound: bool = False) -> MomentRatio:
     """Second-moment ratio of the open-path count.
 
@@ -325,7 +325,7 @@ class SurvivalBound:
 
 
 def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: int,
-                         walk_samples: int | None = None, seed=None,
+                         walk_samples: int | None = None, seed=0,
                          use_bound: bool = False) -> SurvivalBound:
     """(E count)^2 / E count^2 at n = n_max, clipped to [0, 1], with every n.
 
@@ -341,10 +341,10 @@ def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: in
         rows = tuple((n, math.inf, 0.0) for n in range(1, n_max + 1))
         return SurvivalBound(value=0.0, per_n=rows)
     rows = []
-    # one child stream per n, derived through the one seed step
-    children = [None] * n_max if walk_samples is None else rng_from(seed).spawn(n_max)
+    # the sampled route draws n = 1..n_max in turn from one stream
+    rng = None if walk_samples is None else rng_from(seed)
     for n in range(1, n_max + 1):
         r = path_count_moment_ratio(dist, d, lam, n, walk_samples=walk_samples,
-                                    seed=children[n - 1], use_bound=use_bound)
+                                    seed=rng, use_bound=use_bound)
         rows.append((n, r.value, r.survival_lb))
     return SurvivalBound(value=rows[-1][2], per_n=tuple(rows))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 _PALETTE = ("#1f5fa8", "#c23b22", "#2e8540", "#7d3f98", "#b8860b", "#444444")
@@ -63,7 +64,10 @@ def as_int(v) -> int:
 def as_float(v) -> float:
     if isinstance(v, bool):
         raise ValueError(f"expected a number, got {v!r}")
-    return float(v) if isinstance(v, (int, float)) else float(str(v).strip())
+    x = float(v) if isinstance(v, (int, float)) else float(str(v).strip())
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def as_bool(v) -> bool:

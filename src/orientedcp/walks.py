@@ -221,7 +221,7 @@ class MeetEstimate:
         return self.q_hat * self.d * self.d
 
 
-def meet_probability(d: int, horizon: int, samples: int, seed=None) -> MeetEstimate:
+def meet_probability(d: int, horizon: int, samples: int, seed=0) -> MeetEstimate:
     """Estimate the first re-meeting law of two independent oriented walks.
 
     tau = first positive step count with equal positions.  Step 1 is
@@ -299,7 +299,7 @@ class FunctionalEstimate:
 
 
 def collision_functional(dist: WeightDistribution, d: int, lam: float,
-                         samples: int, horizon: int = 10_000, seed=None,
+                         samples: int, horizon: int = 10_000, seed=0,
                          convention: str = "inclusive") -> FunctionalEstimate:
     """Estimate the expected collision integrand over random walk pairs.
 

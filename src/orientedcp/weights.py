@@ -18,14 +18,13 @@ Randomness is keyed by counters, so nothing is drawn before it is read.
   ``WeightField.at`` hashes one vertex at a time, on its first read.  A
   one-valued law hashes nothing.
 - Replicates.  ``annealed_map`` runs replicate r on the field
-  ``sample_field(dist, box, seed_key(seed) + [r])``.  Its channel c is the
-  counter-based ``Philox`` stream (Salmon et al., SC 2011) with a 128-bit
-  key folded once from ``seed_key(seed)`` and counter words (r, c).  Each
-  chunk of replicates holds one Generator per channel and resets it for
-  every replicate, so a trial must read each channel once per replicate:
-  a second ``stream(c)`` call restarts channel c.
+  ``sample_field(dist, box, seed_key(seed) + [r])`` and one stream: the
+  counter-based ``Philox`` generator (Salmon et al., SC 2011) with a
+  128-bit key folded once from ``seed_key(seed)`` and counter words
+  (r, 1).  Each chunk of replicates holds one Generator and resets its
+  counter for every replicate.
 
-Every stream depends on (seed, r, c) alone, so no result depends on the
+Every stream depends on (seed, r) alone, so no result depends on the
 number of jobs.
 """
 
@@ -380,27 +379,19 @@ class _Reads(dict):
 
 
 def seed_key(seed) -> list:
-    """Normalize an int, int sequence, or SeedSequence to an entropy list.
+    """Normalize an int or int sequence to an entropy list.
 
     Entries must be nonnegative ints; a bool, a negative entry or any
     other type is rejected with a message that names the seed.  Derived
     keys are spelled seed_key(master) + [...], so every consumer composes
-    the same way and the key stays JSON-serializable for manifests.  A
-    spawned SeedSequence keeps its spawn key.
+    the same way and the key stays JSON-serializable for manifests.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        ent = seed.entropy
-        key = (list(ent) if isinstance(ent, (list, tuple, np.ndarray)) else [ent]) \
-            + list(seed.spawn_key)
-    elif isinstance(seed, (list, tuple)):
-        key = list(seed)
-    else:
-        key = [seed]
+    key = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     if set(map(type, key)) - {int}:  # the common case of plain ints skips this
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                    for v in key):
-            raise TypeError("seed must be a nonnegative int, a sequence of them, "
-                            f"or a SeedSequence, got {seed!r}")
+            raise TypeError("seed must be a nonnegative int or a sequence of "
+                            f"them, got {seed!r}")
         key = [int(v) for v in key]
     if key and min(key) < 0:
         raise ValueError(f"seed {seed!r} has a negative entry; seeds must be "
@@ -411,15 +402,13 @@ def seed_key(seed) -> list:
 def rng_from(seed) -> np.random.Generator:
     """The one seed-to-Generator step used by every sampler.
 
-    A Generator passes through unchanged.  A SeedSequence, or an int or int
-    sequence checked by ``seed_key``, seeds a fresh default Generator, so
-    equal seeds give equal streams everywhere.
+    A Generator passes through unchanged.  An int or int sequence, checked
+    by ``seed_key``, seeds a fresh default Generator, so equal seeds give
+    equal streams everywhere.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed_key(seed))
-    return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(seed_key(seed)))
 
 
 def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
@@ -437,35 +426,14 @@ def _stream_key(key: list) -> np.ndarray:
     return np.array([_fold(key, h) for h in _STREAM], dtype=np.uint64)
 
 
-class _Channels:
-    """One Philox Generator per channel, restarted for every replicate."""
-
-    def __init__(self, key: np.ndarray):
-        self._key = key
-        self._open: dict = {}
-
-    def __call__(self, r: int, c: int) -> np.random.Generator:
-        entry = self._open.get(c)
-        if entry is None:
-            bits = np.random.Philox(key=self._key)
-            entry = self._open[c] = (bits, np.random.Generator(bits), bits.state)
-        bits, gen, state = entry
-        # counter words 2 and 3 name the stream; words 0 and 1 count its
-        # blocks, and the saved state holds an empty output buffer
-        counter = state["state"]["counter"]
-        counter[2], counter[3] = r, c
-        bits.state = state
-        return gen
-
-
 def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
                  jobs: int = 1) -> list:
-    """``trial(fld, stream)`` over replicates 0..reps-1, results in replicate order.
+    """``trial(fld, rng)`` over replicates 0..reps-1, results in replicate order.
 
-    ``fld`` is ``sample_field(dist, box, seed_key(seed) + [r])`` and
-    ``stream(c)`` is the replicate's channel c, a Generator at the start of
-    its stream (see the module docstring).  A trial reads each channel once
-    per replicate.  More than one job splits range(reps) over a process
+    ``fld`` is ``sample_field(dist, box, seed_key(seed) + [r])`` and ``rng``
+    is replicate r's stream, a Generator at its start (see the module
+    docstring).  The Generator is reset for the next replicate, so a trial
+    must not keep it.  More than one job splits range(reps) over a process
     pool; ``trial`` must then pickle (a module-level function or a
     ``functools.partial`` of one).
     """
@@ -484,12 +452,17 @@ def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
 
 
 def _replicates(trial, dist, box, key, r0, r1) -> list:
-    channels = _Channels(_stream_key(key))
+    bits = np.random.Philox(key=_stream_key(key))
+    rng, state = np.random.Generator(bits), bits.state
+    # counter words 2 and 3 name the stream; words 0 and 1 count its
+    # blocks, and the saved state holds an empty output buffer
+    counter = state["state"]["counter"]
+    counter[3] = 1
     out = []
     for r in range(r0, r1):
-        def stream(c, r=r):
-            return channels(r, c)
-        out.append(trial(sample_field(dist, box, key + [r]), stream))
+        counter[2] = r
+        bits.state = state
+        out.append(trial(sample_field(dist, box, key + [r]), rng))
     return out
 
 

@@ -165,10 +165,10 @@ def nested_survival(dist, d: int, side: int, lams, horizon: float, reps: int,
     lam_max = max(lams)
     fractions = [lam / lam_max for lam in lams]
 
-    def trial(fld, stream):
-        rep = harris.build(fld.box, fld, lam_max, horizon, stream(1))
+    def trial(fld, rng):
+        rep = harris.build(fld.box, fld, lam_max, horizon, rng)
         return [bool(harris.percolate_forward(th, [0]))
-                for th in thin_arrows(rep, fractions, stream(2))]
+                for th in thin_arrows(rep, fractions, rng)]
 
     return np.array(annealed_map(trial, dist, BoxSpec(d=d, side=side), reps, seed),
                     dtype=bool)

@@ -6,6 +6,7 @@ import pytest
 from _oracles import read_csv
 from orientedcp import moments
 from orientedcp.cli import main
+from orientedcp.reporting import as_float, as_floats
 
 
 def _run(tmp_path, name, *sets, out=None, extra=()):
@@ -167,6 +168,51 @@ def test_report_cli_aggregates_runs(tmp_path):
     with open(os.path.join(out, "report.md")) as fh:
         text = fh.read()
     assert "walks" in text and "ratio" in text
+
+
+@pytest.mark.parametrize("where", ["list", "no-hash", "no-outputs", "int-hash",
+                                   "not-json"])
+def test_report_rejects_a_malformed_manifest(tmp_path, capsys, where):
+    _, good = _run(tmp_path, "walks", "d=2", "horizon=50", "samples=200")
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    man = _manifest(good)
+    text = {"list": json.dumps([man]),
+            "no-hash": json.dumps({k: v for k, v in man.items()
+                                   if k != "manifest_hash"}),
+            "no-outputs": json.dumps({k: v for k, v in man.items() if k != "outputs"}),
+            "int-hash": json.dumps({**man, "manifest_hash": 7}),
+            "not-json": "{"}[where]
+    (bad / "manifest.json").write_text(text)
+    rc, out = _run(tmp_path, "report", f"dirs={good},{bad}")
+    assert rc == 2
+    assert os.path.join(str(bad), "manifest.json") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+    assert not os.path.exists(os.path.join(out, "report.md"))
+
+
+def test_as_float_rejects_non_finite_values():
+    assert as_float("2.5") == 2.5 and as_float(3) == 3.0
+    for bad in ("nan", "inf", "-inf", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"finite number, got {bad!r}"):
+            as_float(bad)
+    with pytest.raises(ValueError, match="finite"):
+        as_floats("1,nan")
+
+
+@pytest.mark.parametrize("name, sets", [
+    ("critscan", ("d=2", "tol=nan")),
+    ("simulate", ("lambda=0.5", "horizon=nan")),
+    ("simulate", ("lambda=nan",)),
+    ("duality", ("lambda=inf",)),
+    ("f-decay", ("box.d=2", "lambda=0.1", "times=1,-inf")),
+], ids=["critscan-tol", "simulate-horizon", "simulate-lambda", "duality-lambda",
+        "fdecay-times"])
+def test_non_finite_config_floats_exit_2(tmp_path, capsys, name, sets):
+    rc, out = _run(tmp_path, name, *sets)
+    assert rc == 2
+    assert "expected a finite number, got '" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -232,6 +232,14 @@ def test_sweeps_and_annealed_reject_zero_reps():
             fn(dist, box, 0.8, 2.0, 0, seed=1)
 
 
+def test_build_rejects_nan_rate_and_horizon():
+    box = BoxSpec(d=2, side=3)
+    fld = constant_field(1.0, box)
+    for lam, horizon in ((math.nan, 1.0), (0.5, math.nan), (-0.1, 1.0), (0.5, 0.0)):
+        with pytest.raises(ValueError, match=f"lam={lam}, horizon={horizon}"):
+            build(box, fld, lam, horizon, 0)
+
+
 @pytest.mark.parametrize("site", [-1, 16, np.int64(-1)])
 def test_integer_sites_are_range_checked(site):
     # -1 must not wrap around to the apex; 16 is one past the last index

@@ -81,6 +81,15 @@ def test_removed_state_rejected_outside_zeta():
                 Configuration(box, np.array(states, dtype=np.int8), mode=mode)
 
 
+def test_run_rejects_nan_rate_and_horizon():
+    box = BoxSpec(d=2, side=3)
+    start, fld = Configuration.single_seed(box), constant_field(1.0, box)
+    with pytest.raises(ValueError, match="lam must be nonnegative, got nan"):
+        run(start, fld, math.nan, 1.0, seed=0)
+    with pytest.raises(ValueError, match="horizon must be positive, got nan"):
+        run(start, fld, 0.5, math.nan, seed=0)
+
+
 def test_all_healthy_dies_instantly():
     box = BoxSpec(d=2, side=3)
     res = run(_all_healthy(box), constant_field(1.0, box),
@@ -409,8 +418,8 @@ def _coupled(side):
     start = Configuration.single_seed(box)
     lam = 0.3 / (3 * SPREAD.second_moment)
 
-    def trial(fld, stream):
-        res = run(start, fld, lam, 4.0, seed=stream(1))
+    def trial(fld, rng):
+        res = run(start, fld, lam, 4.0, seed=rng)
         sites = sorted(tuple(int(c) for c in np.unravel_index(v, box.shape))
                        for v in fld.at)
         return res.extinction_time, sites, fld._weights is None

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from _oracles import (PathPercolation, count_paths, pair_factor,
                       path_percolation, sample_path_percolation)
-from orientedcp import lattice
+from orientedcp import lattice, walks
 from orientedcp.lattice import BoxSpec
 from orientedcp.moments import (TransferOperator, count_paths_mc,
                                 edge_pass_probability, expected_path_count,
@@ -353,20 +353,32 @@ def test_survival_bound_sampled_route_consistent():
 
 
 def test_survival_bound_seed_forms():
-    # the per-n streams come through weights.rng_from: a Generator seed
-    # works as it does for path_count_moment_ratio, and an int or list
-    # seed gives the children of SeedSequence(seed)
+    # the sampled route draws n = 1, 2, ... in turn from one
+    # weights.rng_from(seed): a Generator seed works as it does for
+    # path_count_moment_ratio, and an int or list seed seeds one stream
     dist = WeightDistribution.two_point(0.7)
     runs = [survival_lower_bound(dist, 2, 2.0, 3, walk_samples=100,
                                  seed=np.random.default_rng(1)) for _ in range(2)]
     assert runs[0] == runs[1]
     for seed in (1, [1, 2]):
-        children = np.random.SeedSequence(seed).spawn(3)
+        rng = rng_from(seed)
         want = [path_count_moment_ratio(dist, 2, 2.0, n, walk_samples=100,
-                                        seed=child).value
-                for n, child in zip((1, 2, 3), children)]
+                                        seed=rng).value for n in (1, 2, 3)]
         sb = survival_lower_bound(dist, 2, 2.0, 3, walk_samples=100, seed=seed)
         assert [row[1] for row in sb.per_n] == want
+
+
+def test_sampled_routes_default_to_seed_0():
+    # the CLI's default seed; calling without a seed must not raise
+    dist = WeightDistribution.two_point(0.7)
+    calls = [
+        lambda **kw: walks.meet_probability(2, 50, 200, **kw),
+        lambda **kw: walks.collision_functional(dist, 2, 0.5, 50, horizon=50, **kw),
+        lambda **kw: path_count_moment_ratio(dist, 2, 2.0, 3, walk_samples=100, **kw),
+        lambda **kw: survival_lower_bound(dist, 2, 2.0, 3, walk_samples=100, **kw),
+    ]
+    for call in calls:
+        assert call() == call(seed=0)
 
 
 def test_count_paths_mc_golden_digest():
@@ -401,4 +413,4 @@ def test_sampled_ratio_golden_digest():
     rows.append((float(sb.value), sb.per_n))
     assert len(rows) == 37
     assert _digest(rows) == \
-        "35118aaf19eb3746d90993217660189feb6c474c67960d2d19a77b1cab17329a"
+        "0334da35f5afb9880c00fb3123d39e741499167f70c7a835a1080b560edf092b"

@@ -35,6 +35,19 @@ def test_all_names_resolve_once():
         assert hasattr(orientedcp, name), name
 
 
+def test_only_weights_names_the_seed_step():
+    # weights.rng_from and weights.annealed_map are the one seed-to-Generator
+    # step; every other module takes a seed or a Generator from them
+    step = {"SeedSequence", "default_rng", "Philox", "PCG64"}
+    named = {}
+    for path in sorted((ROOT / "src" / "orientedcp").glob("*.py")):
+        if path.name != "weights.py":
+            hits = {ident for ident, _, _ in _references(ast.parse(path.read_text()))}
+            if hits & step:
+                named[path.name] = sorted(hits & step)
+    assert not named, named
+
+
 def test_error_types_are_exported():
     assert {"ResourceLimitError", "ScanError"} <= set(orientedcp.__all__)
 
