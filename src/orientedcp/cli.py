@@ -137,6 +137,9 @@ def resolve_config(sub: str, file_cfg: dict, set_pairs, seed_flag):
     for k, (coerce, default) in schema.items():
         if k in raw:
             cfg[k] = coerce(raw[k])
+            # only an empty default ("pick automatically") allows an empty list
+            if cfg[k] == [] and default != []:
+                raise ValueError(f"config key {k!r} for {sub} needs at least one value")
         elif default is _REQ:
             raise ValueError(f"missing required config key {k!r} for {sub}")
         else:
@@ -164,8 +167,6 @@ def _cmd_simulate(cfg, dist, out, jobs, digest):
     mode = cfg["mode"]
     horizon = cfg["horizon"]
     times = cfg["sample_times"] or [horizon * (k + 1) / 8.0 for k in range(8)]
-    if cfg["reps"] < 1:
-        raise ValueError(f"reps must be >= 1, got {cfg['reps']}")
     if cfg["start"] == "origin":
         start = kinetics.Configuration.single_seed(box, mode=mode)
     elif cfg["start"] == "all":

@@ -90,19 +90,21 @@ class CritScanResult:
         return self.lam_hat / self.mean_field_ref
 
 
+_BRACKET_BUDGET = 6  # widening steps at each bracket end before a scan fails
+
+
 def estimate_critical_rate(dist: WeightDistribution, d: int,
                            side: int | None = None, horizon: float | None = None,
                            reps_per_probe: int = 2000, threshold: float = 0.05,
                            tol: float | None = None, seed=0,
-                           bracket_budget: int = 6, check_box: bool = True,
-                           jobs: int = 1) -> CritScanResult:
+                           check_box: bool = True, jobs: int = 1) -> CritScanResult:
     """Bracket and bisect the rate where the survival proxy crosses threshold.
 
     Bracketing starts at (0.5, 2.0) times the mean-field rate and widens
-    geometrically within budget; failure raises ScanError carrying the
-    probe trace.  A bisection probe whose estimate is within 2 standard
-    errors of the threshold is re-probed once at 4x replicates; if still
-    inconclusive the scan stops early with status "statistically_limited".
+    geometrically, up to 6 times at each end; failure raises ScanError
+    carrying the probe trace.  A bisection probe whose estimate is within 2
+    standard errors of the threshold is re-probed once at 4x replicates; if
+    still inconclusive the scan stops early with status "statistically_limited".
     check_box re-probes the answer at doubled side and horizon and flags
     whether the estimate moved by more than 3 joint standard errors.
     """
@@ -137,7 +139,7 @@ def estimate_critical_rate(dist: WeightDistribution, d: int,
     tries = 0
     while e_lo.p_hat > threshold:
         tries += 1
-        if tries > bracket_budget:
+        if tries > _BRACKET_BUDGET:
             raise ScanError(f"no subcritical end below {lo:.6g}", trace)
         lo *= 0.5
         e_lo = probe(lo, bracket_reps)
@@ -145,7 +147,7 @@ def estimate_critical_rate(dist: WeightDistribution, d: int,
     tries = 0
     while e_hi.p_hat < threshold:
         tries += 1
-        if tries > bracket_budget:
+        if tries > _BRACKET_BUDGET:
             raise ScanError(f"no supercritical end up to {hi:.6g}", trace)
         hi *= 2.0
         e_hi = probe(hi, bracket_reps)

@@ -36,6 +36,7 @@ class GraphicalRep:
 
     ``times`` (float64), ``kinds`` (int8), ``a`` and ``b`` (int32) are
     parallel columns, one row per event, sorted by (time, kind, a, b).
+    Every event lies in [0, horizon], so a replay reads the whole table.
     The rep keeps its box, rate and horizon but not the weight field or the
     seed it was built from; the replays read only the table.  Equality and
     hashing are by identity, since the columns are arrays.
@@ -120,42 +121,35 @@ def _resolve_set(box: BoxSpec, vertices) -> np.ndarray:
     return mask
 
 
-def percolate_forward(rep: GraphicalRep, initial, t: float | None = None) -> frozenset:
-    """Vertices infected at time t when the forward process starts from ``initial``.
+def _replay(rep: GraphicalRep, initial, dual: bool) -> frozenset:
+    """The infected set at the horizon; ``dual`` reads each arrow backwards."""
+    st = _resolve_set(rep.box, initial)
+    _, kinds, a, b = rep.event_arrays()
+    src, dst = (b, a) if dual else (a, b)
+    for kind, x, u, w in zip(kinds, a, src, dst):
+        if kind == _MARK:
+            st[x] = False
+        elif st[u]:
+            st[w] = True
+    return frozenset(int(v) for v in np.flatnonzero(st))
+
+
+def percolate_forward(rep: GraphicalRep, initial) -> frozenset:
+    """Vertices infected at the horizon in the forward process from ``initial``.
 
     An arrow x -> y passes infection from x to y; a mark clears its vertex.
     The result is exactly the set of space-time reachability targets, so it
     is monotone in the initial set by construction.
     """
-    t = rep.horizon if t is None else t
-    st = _resolve_set(rep.box, initial)
-    times, kinds, a, b = rep.event_arrays()
-    for i in range(len(times)):
-        if times[i] > t:
-            break
-        if kinds[i] == _MARK:
-            st[a[i]] = False
-        elif st[a[i]]:
-            st[b[i]] = True
-    return frozenset(int(v) for v in np.flatnonzero(st))
+    return _replay(rep, initial, dual=False)
 
 
-def percolate_dual(rep: GraphicalRep, initial, t: float | None = None) -> frozenset:
+def percolate_dual(rep: GraphicalRep, initial) -> frozenset:
     """Forward-time run of the reversed process on the same event structure.
 
     Arrows are traversed head to tail: an arrow x -> y lets y infect x.
     """
-    t = rep.horizon if t is None else t
-    st = _resolve_set(rep.box, initial)
-    times, kinds, a, b = rep.event_arrays()
-    for i in range(len(times)):
-        if times[i] > t:
-            break
-        if kinds[i] == _MARK:
-            st[a[i]] = False
-        elif st[b[i]]:
-            st[a[i]] = True
-    return frozenset(int(v) for v in np.flatnonzero(st))
+    return _replay(rep, initial, dual=True)
 
 
 def _reversed_reading_alive(rep: GraphicalRep, site_idx: int) -> bool:
@@ -183,34 +177,33 @@ def _reversed_reading_alive(rep: GraphicalRep, site_idx: int) -> bool:
     return alive > 0
 
 
-def duality_check(rep: GraphicalRep, site=None) -> tuple[bool, bool]:
+def duality_check(rep: GraphicalRep) -> tuple[bool, bool]:
     """(forward indicator, reversed-reading indicator) on one realization.
 
-    Forward: start all-infected, ask whether ``site`` is infected at the
-    horizon.  Reversed: hang a single particle at (site, horizon) and chase
+    Forward: start all-infected, ask whether the apex is infected at the
+    horizon.  Reversed: hang a single particle at (apex, horizon) and chase
     arrows tail-ward down the same diagram, asking whether anything is still
     alive at time 0.  The two booleans must be equal realization by
-    realization; ``site`` defaults to the apex so that both readings have
-    room to propagate inside the box.
+    realization.  The apex is the site whose backward cone fills the box,
+    so both readings have room to propagate inside it.
     """
-    box = rep.box
-    idx = lattice.site_index(box, box.apex if site is None else site)
+    idx = lattice.vertex_index(rep.box, rep.box.apex)
     fwd = idx in percolate_forward(rep, "all")
     rev = _reversed_reading_alive(rep, idx)
     return fwd, rev
 
 
-def removal_coupling_check(rep: GraphicalRep, site=None) -> bool:
+def removal_coupling_check(rep: GraphicalRep) -> bool:
     """Replay the plain and freezing processes jointly; verify containment.
 
-    Both start from the same single seed (default: origin) and consume the
-    same marks and arrows.  In the freezing variant a recovered vertex is
-    removed for good and blocks reinfection.  The check asserts, after every
+    Both start from the origin alone and consume the same marks and arrows.
+    In the freezing variant a recovered vertex is removed for good and
+    blocks reinfection.  The check asserts, after every
     single event, that the freezing variant's infected set is contained in
     the plain process's infected set; returns True when no event violates it.
     """
     box = rep.box
-    idx = lattice.site_index(box, box.origin if site is None else site)
+    idx = lattice.vertex_index(box, box.origin)
     plain = np.zeros(box.n_vertices, dtype=np.int8)
     frozen = np.zeros(box.n_vertices, dtype=np.int8)
     plain[idx] = frozen[idx] = 1
@@ -248,9 +241,9 @@ class DualityEstimate:
     se_forward_origin: float
     reps: int
 
-    def joint_se(self, a: str = "p_forward_all", b: str = "p_dual_process") -> float:
-        sa = getattr(self, "se_" + a[2:])
-        sb = getattr(self, "se_" + b[2:])
+    def joint_se(self) -> float:
+        """Standard error of p_forward_all - p_dual_process."""
+        sa, sb = self.se_forward_all, self.se_dual_process
         return math.sqrt(sa * sa + sb * sb)
 
 

@@ -167,8 +167,6 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not lam >= 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    if cfg.mode not in _MODES:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
     samples = sorted(float(t) for t in sample_times)
     if samples and samples[0] < 0:
         raise ValueError("sample times must be nonnegative")

@@ -104,8 +104,11 @@ class PathCountEstimate:
         return self.second_moment / self.mean ** 2
 
 
+_PATH_BATCH = 2048  # replicates count_paths_mc draws together
+
+
 def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
-                   reps: int, seed, batch: int = 2048) -> PathCountEstimate:
+                   reps: int, seed) -> PathCountEstimate:
     """Monte Carlo moments of the open-path count by exact per-draw counting.
 
     An n-step path from the origin is at level k (coordinate sum k) after
@@ -113,8 +116,8 @@ def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
     {coordinate sum <= n}, and every vertex below level n has all d
     out-neighbours in it.  Each replicate draws weights, recovery clocks
     and edge clocks over the simplex alone, its vertices ordered by level
-    and row-major within a level.  Batched; the draw order inside a batch
-    is fixed, so results depend on (seed, batch) only.
+    and row-major within a level.  Replicates are drawn 2048 at a time in
+    a fixed order, so results depend on the seed alone.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -138,7 +141,7 @@ def count_paths_mc(dist: WeightDistribution, d: int, lam: float, n: int,
     s1 = s2 = s4 = 0.0
     done = 0
     while done < reps:
-        B = min(batch, reps - done)
+        B = min(_PATH_BATCH, reps - done)
         w = dist.sample(rng, (B, S))
         t_vertex = rng.standard_exponential((B, S))
         raw = rng.standard_exponential((B, d, S))
@@ -324,27 +327,27 @@ class SurvivalBound:
     per_n: tuple                 # (n, ratio, bound) rows for n = 1..n_max
 
 
-def survival_lower_bound(dist: WeightDistribution, d: int, lam: float, n_max: int,
-                         walk_samples: int | None = None, seed=0,
-                         use_bound: bool = False) -> SurvivalBound:
+def survival_lower_bound(dist: WeightDistribution, d: int, lam: float,
+                         n_max: int) -> SurvivalBound:
     """(E count)^2 / E count^2 at n = n_max, clipped to [0, 1], with every n.
 
     Each n gives P(some open n-path exists) >= 1/ratio_n.  That event
     shrinks as n grows, so only the bound at the largest n speaks about
     survival: the largest over n would be the n=1 bound, which says only
     that the origin has an open out-edge.  n starts at 1: the empty path
-    always exists and says nothing.
+    always exists and says nothing.  Every ratio is exact, so d^(2 n_max)
+    walk pairs must stay within ``EXHAUSTIVE_LIMIT``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if expected_path_count(dist, d, lam, 1) <= 0.0:
         rows = tuple((n, math.inf, 0.0) for n in range(1, n_max + 1))
         return SurvivalBound(value=0.0, per_n=rows)
+    if d ** (2 * n_max) > EXHAUSTIVE_LIMIT:  # fail before enumerating n < n_max
+        raise ValueError(f"n_max={n_max} needs {d ** (2 * n_max)} walk pairs, above "
+                         f"exhaustive_limit={EXHAUSTIVE_LIMIT}")
     rows = []
-    # the sampled route draws n = 1..n_max in turn from one stream
-    rng = None if walk_samples is None else rng_from(seed)
     for n in range(1, n_max + 1):
-        r = path_count_moment_ratio(dist, d, lam, n, walk_samples=walk_samples,
-                                    seed=rng, use_bound=use_bound)
+        r = path_count_moment_ratio(dist, d, lam, n)
         rows.append((n, r.value, r.survival_lb))
     return SurvivalBound(value=rows[-1][2], per_n=tuple(rows))

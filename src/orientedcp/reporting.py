@@ -168,13 +168,13 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
 
 
 def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
-               y_reference: float | None = None,
-               width: int = 720, height: int = 480) -> str:
-    """Deterministic SVG line chart with optional error bars.
+               y_reference: float | None = None) -> str:
+    """Deterministic 720 x 480 SVG line chart with optional error bars.
 
     series: iterables of dicts with keys label, x, y and optional yerr.
     Coordinates are formatted to fixed precision so output is byte-stable.
     """
+    width, height = 720, 480
     series = list(series)
     xs = [float(x) for s in series for x in s["x"]]
     ys = [float(y) for s in series for y in s["y"]]

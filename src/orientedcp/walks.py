@@ -33,7 +33,6 @@ class WalkPair:
     n_steps: int
     steps_a: np.ndarray
     steps_b: np.ndarray
-    seed: object = None
 
     def __post_init__(self):
         for s in (self.steps_a, self.steps_b):
@@ -64,8 +63,7 @@ def sample_walk_pair(d: int, n_steps: int, seed) -> WalkPair:
         raise ValueError("n_steps must be nonnegative")
     rng = rng_from(seed)
     steps = rng.integers(0, d, size=(2, n_steps))
-    return WalkPair(d=d, n_steps=n_steps, steps_a=steps[0], steps_b=steps[1],
-                    seed=seed)
+    return WalkPair(d=d, n_steps=n_steps, steps_a=steps[0], steps_b=steps[1])
 
 
 @dataclass(frozen=True)

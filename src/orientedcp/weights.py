@@ -101,15 +101,15 @@ class WeightDistribution:
         return cls((hi, lo), (p, 1.0 - p), kind="two_point", strict=strict)
 
     @classmethod
-    def from_table(cls, values, probs, strict: bool = True) -> "WeightDistribution":
-        return cls(tuple(values), tuple(probs), kind="table", strict=strict)
+    def from_table(cls, values, probs) -> "WeightDistribution":
+        return cls(tuple(values), tuple(probs), kind="table")
 
     @classmethod
-    def from_density(cls, pdf, bound: float, nodes: int = 32) -> "WeightDistribution":
-        """Gauss-Legendre discretisation of a density on [0, bound]."""
-        if bound <= 0 or nodes < 1:
-            raise ValueError("bound must be positive and nodes >= 1")
-        x, w = np.polynomial.legendre.leggauss(nodes)
+    def from_density(cls, pdf, bound: float) -> "WeightDistribution":
+        """32-node Gauss-Legendre discretisation of a density on [0, bound]."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        x, w = np.polynomial.legendre.leggauss(32)
         x = 0.5 * bound * (x + 1.0)
         w = 0.5 * bound * w
         p = np.array([max(float(w_i * pdf(x_i)), 0.0) for x_i, w_i in zip(x, w)])

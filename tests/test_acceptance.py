@@ -48,7 +48,7 @@ def test_criterion_02_annealed_duality(capsys):
     est = harris.duality_annealed(TP7, BoxSpec(2, 6), 0.8, 3.0, 10_000,
                                   seed=[12])
     gap = abs(est.p_forward_all - est.p_dual_process)
-    lim = 3.0 * est.joint_se("p_forward_all", "p_dual_process")
+    lim = 3.0 * est.joint_se()
     _verdict(capsys, 2, gap <= lim,
              f"|{est.p_forward_all:.4f} - {est.p_dual_process:.4f}| = "
              f"{gap:.4f} vs 3se = {lim:.4f}")

@@ -263,7 +263,7 @@ def test_unbracketable_scan_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, sets", [
-    ("simulate", ("lambda=0.5", "start=bogus")),
+    ("simulate", ("lambda=0.5",)),
     ("f-decay", ("box.d=2", "lambda=0.1")),
     ("duality", ("lambda=0.8",)),
     ("zeta-check", ("lambda=0.8",)),
@@ -273,6 +273,38 @@ def test_zero_reps_exits_2(tmp_path, capsys, name, sets):
     assert rc == 2
     assert "reps must be >= 1" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_unknown_start_exits_2(tmp_path, capsys):
+    rc, out = _run(tmp_path, "simulate", "lambda=0.5", "start=bogus")
+    assert rc == 2
+    assert "start must be all or origin" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("name, sets", [
+    ("walks", ("d=",)),
+    ("critscan", ("d=",)),
+    ("moments", ("d=2", "lambda=0.5", "n=")),
+    ("f-decay", ("box.d=2", "lambda=0.1", "times=")),
+])
+def test_empty_list_key_exits_2(tmp_path, capsys, name, sets):
+    # an empty list would run nothing and write header-only outputs
+    rc, out = _run(tmp_path, name, *sets)
+    assert rc == 2
+    key = sets[-1].split("=")[0]
+    assert f"config key {key!r} for {name} needs at least one value" in \
+        capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_simulate_empty_sample_times_picks_them(tmp_path):
+    # simulate's empty default means eight times spread over the horizon
+    rc, out = _run(tmp_path, "simulate", "lambda=0.5", "box.L=3", "horizon=2.0",
+                   "sample_times=")
+    assert rc == 0
+    _, _, rows = read_csv(os.path.join(out, "trace.csv"))
+    assert [float(t) for _, t, _, _ in rows] == [0.25 * (k + 1) for k in range(8)]
 
 
 def test_sample_time_past_horizon_exits_2(tmp_path, capsys):

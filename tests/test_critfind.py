@@ -96,13 +96,16 @@ def test_estimate_critical_rate_box_check():
 
 
 def test_estimate_critical_rate_bracket_failure():
+    # on a side-1 box every run dies within a few recoveries, so no rate
+    # reaches the threshold and each probe is fast
     with pytest.raises(ScanError) as exc:
-        estimate_critical_rate(CONST, 2, side=5, horizon=6.0,
+        estimate_critical_rate(CONST, 2, side=1, horizon=6.0,
                                reps_per_probe=200, threshold=0.999,
-                               tol=0.1, seed=8, bracket_budget=1,
-                               check_box=False)
+                               tol=0.1, seed=8, check_box=False)
     assert "supercritical" in str(exc.value)
     assert len(exc.value.trace) >= 2
+    # one subcritical probe, then the first supercritical one and six widenings
+    assert len(exc.value.trace) == 8
 
 
 def test_estimate_critical_rate_validation():

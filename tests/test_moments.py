@@ -213,7 +213,7 @@ def test_count_paths_mc_per_draw_matches_full_box_oracle():
                 level = np.indices(box.shape).reshape(d, V).sum(axis=0)
                 simplex = np.argsort(level, kind="stable")[:int((level <= n).sum())]
                 for s in range(40):
-                    est = count_paths_mc(dist, d, 0.9, n, reps=1, seed=[s], batch=1)
+                    est = count_paths_mc(dist, d, 0.9, n, reps=1, seed=[s])
                     rng = rng_from([s])
                     w, t_vertex, raw = np.zeros(V), np.zeros(V), np.full((d, V), np.inf)
                     w[simplex] = dist.sample(rng, len(simplex))
@@ -345,27 +345,12 @@ def test_survival_bound_degenerate_law():
     assert all(row[2] == 0.0 for row in sb.per_n)
 
 
-def test_survival_bound_sampled_route_consistent():
-    dist = WeightDistribution.two_point(0.7)
-    exact = survival_lower_bound(dist, 2, 2.0, 3)
-    sampled = survival_lower_bound(dist, 2, 2.0, 3, walk_samples=6000, seed=8)
-    assert sampled.value == pytest.approx(exact.value, rel=0.1)
-
-
-def test_survival_bound_seed_forms():
-    # the sampled route draws n = 1, 2, ... in turn from one
-    # weights.rng_from(seed): a Generator seed works as it does for
-    # path_count_moment_ratio, and an int or list seed seeds one stream
-    dist = WeightDistribution.two_point(0.7)
-    runs = [survival_lower_bound(dist, 2, 2.0, 3, walk_samples=100,
-                                 seed=np.random.default_rng(1)) for _ in range(2)]
-    assert runs[0] == runs[1]
-    for seed in (1, [1, 2]):
-        rng = rng_from(seed)
-        want = [path_count_moment_ratio(dist, 2, 2.0, n, walk_samples=100,
-                                        seed=rng).value for n in (1, 2, 3)]
-        sb = survival_lower_bound(dist, 2, 2.0, 3, walk_samples=100, seed=seed)
-        assert [row[1] for row in sb.per_n] == want
+def test_survival_bound_refuses_past_the_exhaustive_limit():
+    # 2^18 walk pairs at n = 9; the message must not point to a sampled
+    # route that survival_lower_bound does not have
+    with pytest.raises(ValueError, match="n_max=9 needs 262144 walk pairs") as exc:
+        survival_lower_bound(CONST, 2, 1.0, 9)
+    assert "walk_samples" not in str(exc.value)
 
 
 def test_sampled_routes_default_to_seed_0():
@@ -375,7 +360,6 @@ def test_sampled_routes_default_to_seed_0():
         lambda **kw: walks.meet_probability(2, 50, 200, **kw),
         lambda **kw: walks.collision_functional(dist, 2, 0.5, 50, horizon=50, **kw),
         lambda **kw: path_count_moment_ratio(dist, 2, 2.0, 3, walk_samples=100, **kw),
-        lambda **kw: survival_lower_bound(dist, 2, 2.0, 3, walk_samples=100, **kw),
     ]
     for call in calls:
         assert call() == call(seed=0)
@@ -384,22 +368,25 @@ def test_sampled_routes_default_to_seed_0():
 def test_count_paths_mc_golden_digest():
     # Fixed outputs of the batched level DP: any change in how it draws
     # weights and clocks, or in the order its sums are taken, moves this.
+    # The last row runs 2100 replicates, so it spans two batches of 2048.
     rows = []
     for dist in LAWS:
         for d in (1, 2, 3, 4):
             for n in (0, 1, 3, 6):
-                e = count_paths_mc(dist, d, 0.9, n, reps=300, seed=[d, n], batch=128)
+                e = count_paths_mc(dist, d, 0.9, n, reps=300, seed=[d, n])
                 rows.append((float(e.mean), float(e.se_mean),
                              float(e.second_moment), float(e.se_second)))
-    assert len(rows) == 48
+    e = count_paths_mc(LAWS[1], 3, 0.9, 6, reps=2100, seed=[3, 6])
+    rows.append((float(e.mean), float(e.se_mean),
+                 float(e.second_moment), float(e.se_second)))
+    assert len(rows) == 49
     assert _digest(rows) == \
-        "4ce99e8d3aad78e0064a019afb06177a6e2d3433ecd7c2158819a634a1200fee"
+        "7fbf33044cb705500f43411650b80dd0abc9429fe099cb86c79cd38be844e77d"
 
 
 def test_sampled_ratio_golden_digest():
-    # Fixed outputs of the sampled moment ratio and the survival bound built
-    # on it: the walk draws, the pattern values and their averaging order,
-    # and the bound at n_max.
+    # Fixed outputs of the sampled moment ratio: the walk draws, the
+    # pattern values and their averaging order.
     rows = []
     for dist in LAWS[:2]:
         for d in (2, 3, 5):
@@ -409,8 +396,6 @@ def test_sampled_ratio_golden_digest():
                                                 seed=[d, n], use_bound=ub)
                     rows.append((float(r.value), float(r.se),
                                  float(r.numerator), float(r.denominator)))
-    sb = survival_lower_bound(LAWS[1], 3, 0.6, 6, walk_samples=1000, seed=4)
-    rows.append((float(sb.value), sb.per_n))
-    assert len(rows) == 37
+    assert len(rows) == 36
     assert _digest(rows) == \
-        "0334da35f5afb9880c00fb3123d39e741499167f70c7a835a1080b560edf092b"
+        "29f1794339bd3efbfb39dd9330325a456fc599543bc3c345159064bc9f7dd36f"

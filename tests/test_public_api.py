@@ -1,5 +1,6 @@
 """The top-level namespace exports what the demos and the README example use,
-and every public name in the package is read by something other than tests.
+every public name in the package is read by something other than tests,
+and every parameter with a default is set by something other than tests.
 
 Names are read from the sources with ``ast`` rather than by running them,
 so the check is fast and catches a demo that imports a name the package
@@ -7,6 +8,7 @@ no longer lists.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -71,17 +73,17 @@ REACH_EXEMPT = {
 
 
 def _definitions(tree):
-    """(name, first line, last line, is_member) of each public module-level
-    function and class and each public method and property of such a class."""
+    """(name, node, is_member) of each public module-level function and
+    class and each public method and property of such a class."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 or node.name.startswith("_"):
             continue
-        yield node.name, node.lineno, node.end_lineno, False
+        yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno, True
+                    yield f"{node.name}.{sub.name}", sub, True
 
 
 def _references(tree):
@@ -115,13 +117,86 @@ def test_every_public_name_is_reached():
     refs += [(None, *ref) for tree in outside for ref in _references(tree)]
     defined, unreached = set(), []
     for path, tree in package.items():
-        for name, first, last, member in _definitions(tree):
+        for name, node, member in _definitions(tree):
             key = f"{path.stem}.{name}"
             defined.add(key)
             ident = name.rsplit(".", 1)[-1]
             if not any(n == ident and (attr or not member)
-                       and not (p == path and first <= line <= last)
+                       and not (p == path and node.lineno <= line <= node.end_lineno)
                        for p, n, line, attr in refs) and key not in REACH_EXEMPT:
                 unreached.append(key)
     assert not unreached, unreached
     assert set(REACH_EXEMPT) <= defined, sorted(set(REACH_EXEMPT) - defined)
+
+
+# Parameters with a default that no program path sets, with the reason.
+SETTING_EXEMPT = {
+    "kinetics.run(probe)": "reads one vertex's state at the sample times; six "
+                           "tests use it, including the matrix-exponential law "
+                           "check, and no output shows that state",
+}
+
+
+def _settable(tree):
+    """(name, parameter, positional index or None) for each parameter with a
+    default of each public function and method in ``_definitions``; the
+    index of a method's parameter does not count ``self`` or ``cls``."""
+    for name, node, member in _definitions(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        static = any(_ident(d) == "staticmethod" for d in node.decorator_list)
+        skip = 1 if member and not static else 0
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, i - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _ident(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _calls(tree):
+    """(callee identifier, positional count, keyword names) of every call.
+
+    ``partial(f, ...)`` counts as a call of f, and a starred argument as
+    any number of positional ones.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if _ident(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        count = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+        yield _ident(func), count, {k.arg for k in node.keywords if k.arg}
+
+
+def test_every_parameter_is_set():
+    # A parameter with a default is an option; if only tests set it, the
+    # program runs one value of it, and that value belongs in the code.
+    paths = sorted((ROOT / "src" / "orientedcp").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    sources = list(trees.values())
+    sources += [ast.parse(p.read_text())
+                for d in ("demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    sources += [ast.parse(block) for block in _readme_python_blocks()]
+    calls = [call for tree in sources for call in _calls(tree)]
+    defined, unset = set(), []
+    for path, tree in trees.items():
+        for name, param, index in _settable(tree):
+            key = f"{path.stem}.{name}({param})"
+            defined.add(key)
+            ident = name.rsplit(".", 1)[-1]
+            if not any(n == ident and (param in kw or (index is not None and count > index))
+                       for n, count, kw in calls) and key not in SETTING_EXEMPT:
+                unset.append(key)
+    assert not unset, unset
+    assert set(SETTING_EXEMPT) <= defined, sorted(set(SETTING_EXEMPT) - defined)

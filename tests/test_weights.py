@@ -40,8 +40,9 @@ def test_moments_table_hand_values():
 def test_quadrature_uniform_moments():
     # Gauss-Legendre is exact for polynomials, so the discretized uniform
     # law on [0,1] reproduces mean 1/2 and second moment 1/3 to rounding
-    dist = WeightDistribution.from_density(lambda x: 1.0, bound=1.0, nodes=16)
+    dist = WeightDistribution.from_density(lambda x: 1.0, bound=1.0)
     assert dist.kind == "quadrature"
+    assert len(dist.values) == 32
     assert dist.mean == pytest.approx(0.5, abs=1e-13)
     assert dist.second_moment == pytest.approx(1.0 / 3.0, abs=1e-13)
 
