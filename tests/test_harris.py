@@ -301,3 +301,85 @@ def test_build_and_thin_golden_event_tables():
         assert np.array_equal(np.lexsort((r.b, r.a, r.kinds, r.times)),
                               np.arange(r.n_events()))
         assert np.array_equal(r.b == -1, r.kinds == MARK)
+
+
+def _replay_outcomes(rep):
+    apex = rep.box.n_vertices - 1
+    return (sorted(percolate_forward(rep, "all")), sorted(percolate_forward(rep, [0])),
+            sorted(percolate_dual(rep, [apex])), sorted(percolate_dual(rep, "all")),
+            tuple(map(bool, duality_check(rep))), bool(removal_coupling_check(rep)))
+
+
+def test_replay_outcomes_golden():
+    # one frozen digest over every replay's answer on 900 built reps; any
+    # change to what a replay returns, early exits included, moves it
+    h = hashlib.sha256()
+    for box, dist, lams in ((BoxSpec(2, 6), WeightDistribution.two_point(0.7), (0.8, 1.0)),
+                            (BoxSpec(3, 3), WeightDistribution.constant(1.0), (1.5,))):
+        for lam in lams:
+            for r in range(300):
+                fld = sample_field(dist, box, [17, r])
+                rep = build(box, fld, lam, 3.0, seed=[18, r])
+                h.update(repr(_replay_outcomes(rep)).encode())
+    assert h.hexdigest() == (
+        "88006fed713394480ce3c3dea721c2c61d21fa7285e16629d892a8367e580b3f")
+
+
+def test_replays_count_infected_vertices():
+    box = BoxSpec(d=2, side=4)
+    e1 = lattice.vertex_index(box, (1, 0))
+    e2 = lattice.vertex_index(box, (0, 1))
+    # a second arrow into an infected vertex adds nobody to kill
+    rep = _rep(box, marks_map={0: [2.0], e1: [2.5]},
+               arrows_map={(0, e1): [1.0, 1.5]}, horizon=3.0)
+    assert percolate_forward(rep, [0]) == frozenset()
+    assert percolate_dual(rep, [e1]) == frozenset()
+    # a mark on a healthy vertex takes nobody away
+    rep = _rep(box, marks_map={e1: [0.5], 0: [2.0]},
+               arrows_map={(0, e1): [1.0]}, horizon=3.0)
+    assert percolate_forward(rep, [0]) == {e1}
+    # an arrow out of a vertex after its mark passes nothing on
+    rep = _rep(box, marks_map={0: [1.0], e1: [1.0]},
+               arrows_map={(0, e1): [2.0], (0, e2): [2.5]}, horizon=3.0)
+    assert percolate_forward(rep, [0]) == frozenset()
+    assert percolate_dual(rep, [e1]) == frozenset()
+
+
+def test_all_infected_start_dies_out():
+    box = BoxSpec(d=2, side=2)
+    V = box.n_vertices
+    src, dst, _ = lattice.edge_table(box)
+    arrows = {(int(x), int(y)): [5.0] for x, y in zip(src, dst)}
+    rep = _rep(box, marks_map={x: [1.0 + 0.1 * x] for x in range(V)},
+               arrows_map=arrows, horizon=6.0)
+    assert percolate_forward(rep, "all") == frozenset()
+    assert percolate_dual(rep, "all") == frozenset()
+    assert duality_check(rep) == (False, False)
+
+
+def test_removal_coupling_after_the_freezing_copy_dies():
+    # the freezing copy loses (2, 1) and (1, 1) to their marks and dies at
+    # t = 3.5; the plain copy is re-infected at (1, 1) at t = 3 and at
+    # (2, 1) at t = 4, after the freezing copy is gone
+    box = BoxSpec(d=2, side=2)
+    v = {x: lattice.vertex_index(box, x)
+         for x in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1))}
+    rep = _rep(box,
+               marks_map={v[2, 1]: [1.6], v[1, 1]: [2.0], v[0, 0]: [2.6],
+                          v[1, 0]: [2.7], v[0, 1]: [3.5]},
+               arrows_map={(v[0, 0], v[1, 0]): [1.0], (v[1, 0], v[1, 1]): [1.2],
+                           (v[1, 1], v[2, 1]): [1.4, 4.0],
+                           (v[0, 0], v[0, 1]): [2.5], (v[0, 1], v[1, 1]): [3.0]},
+               horizon=5.0)
+    assert percolate_forward(rep, [0]) == {v[1, 1], v[2, 1]}
+    assert removal_coupling_check(rep)
+
+
+def test_from_columns_breaks_time_ties_by_kind_and_vertices():
+    rows = [(1.0, ARROW, 3, 4), (0.5, ARROW, 2, 3), (1.0, MARK, 4, -1),
+            (1.0, ARROW, 0, 1), (0.5, MARK, 2, -1), (1.0, MARK, 1, -1),
+            (1.0, ARROW, 0, 5), (0.25, ARROW, 1, 2)]
+    rep = GraphicalRep.from_columns(BoxSpec(d=2, side=2), 1.0, 2.0, *zip(*rows))
+    got = list(zip(rep.times.tolist(), rep.kinds.tolist(), rep.a.tolist(),
+                   rep.b.tolist()))
+    assert got == sorted(rows)
