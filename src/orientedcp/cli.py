@@ -399,7 +399,6 @@ def main(argv=None) -> int:
         file_cfg = load_config(args.config) if args.config else {}
         cfg, dist = resolve_config(sub, file_cfg, args.set, args.seed)
         out = args.out or os.path.join("runs", sub)
-        os.makedirs(out, exist_ok=True)
         digest = manifest_digest(sub, cfg, cfg["seed"], __version__)
         outputs = _HANDLERS[sub](cfg, dist, out, args.jobs, digest)
         write_manifest(out, sub, cfg, cfg["seed"], args.jobs, outputs, __version__)

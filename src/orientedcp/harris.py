@@ -12,13 +12,19 @@ one event diagram, the forward indicator "apex infected at the horizon from
 the all-infected start" and the reversed indicator "descendants of the apex
 still alive at time 0" agree for every single realization, not just in
 distribution.
+
+The replays keep vertex states in a bytearray with a count of infected
+vertices, and stop reading the table once that count reaches 0: a dead
+process stays dead.  The coupling check likewise stops once its freezing
+copy has died, since an empty set is contained in any other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import compress
 
 import numpy as np
 
@@ -36,7 +42,8 @@ class GraphicalRep:
 
     ``times`` (float64), ``kinds`` (int8), ``a`` and ``b`` (int32) are
     parallel columns, one row per event, sorted by (time, kind, a, b).
-    Every event lies in [0, horizon], so a replay reads the whole table.
+    Every event lies in [0, horizon], so a replay needs no cutoff; it reads
+    the whole table unless the process it follows dies first.
     The rep keeps its box, rate and horizon but not the weight field or the
     seed it was built from; the replays read only the table.  Equality and
     hashing are by identity, since the columns are arrays.
@@ -54,10 +61,19 @@ class GraphicalRep:
     @classmethod
     def from_columns(cls, box: BoxSpec, lam: float, horizon: float,
                      times, kinds, a, b) -> "GraphicalRep":
-        """Sort unordered event columns into a rep."""
-        order = np.lexsort((b, a, kinds, times))
-        return cls(box=box, lam=lam, horizon=float(horizon),
-                   times=np.asarray(times, np.float64)[order],
+        """Sort unordered event columns into a rep.
+
+        Sampled times almost never tie, so one stable sort by time is the
+        (time, kind, a, b) order; only if two sorted times are equal does
+        the full lexsort run.
+        """
+        times = np.asarray(times, np.float64)
+        order = np.argsort(times, kind="stable")
+        ts = times[order]
+        if (ts[1:] == ts[:-1]).any():
+            order = np.lexsort((b, a, kinds, times))
+            ts = times[order]
+        return cls(box=box, lam=lam, horizon=float(horizon), times=ts,
                    kinds=np.asarray(kinds, np.int8)[order],
                    a=np.asarray(a, np.int32)[order], b=np.asarray(b, np.int32)[order])
 
@@ -74,6 +90,19 @@ class GraphicalRep:
         return len(self.times)
 
 
+@lru_cache(maxsize=64)
+def _stream_columns(box: BoxSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kinds, a, b) of every event stream on ``box``: the V mark streams
+    by vertex, then one arrow stream per edge in ``lattice.edge_table`` order.
+    """
+    src, dst, _ = lattice.edge_table(box)
+    V = box.n_vertices
+    kinds = np.repeat(np.array([_MARK, _ARROW], np.int8), [V, src.size])
+    a = np.concatenate([np.arange(V, dtype=np.int32), src])
+    b = np.concatenate([np.full(V, -1, np.int32), dst])
+    return kinds, a, b
+
+
 def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> GraphicalRep:
     """Sample the full event structure; bit-exact for equal seeds.
 
@@ -88,50 +117,54 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
     rng = rng_from(seed)
     V = box.n_vertices
     rho = fld.weights
+    kinds, a, b = _stream_columns(box)
+    counts = np.zeros(kinds.size, np.int64)   # events per stream
 
-    mark_counts = rng.poisson(horizon, V)
-    mark_times = rng.random(int(mark_counts.sum()))
+    counts[:V] = rng.poisson(horizon, V)
+    mark_times = rng.random(int(counts[:V].sum()))
 
     src, dst, _ = lattice.edge_table(box)
     rates = lam * rho[src] * rho[dst]
     live = np.flatnonzero(rates > 0)
     arrow_counts = rng.poisson(rates[live] * horizon)
+    counts[V + live] = arrow_counts
     arrow_times = rng.random(int(arrow_counts.sum()))
 
-    n_marks = mark_times.size
+    owner = np.repeat(np.arange(kinds.size), counts)
     return GraphicalRep.from_columns(
-        box, lam, horizon,
-        times=np.concatenate([mark_times, arrow_times]) * horizon,
-        kinds=np.repeat([_MARK, _ARROW], [n_marks, arrow_times.size]),
-        a=np.concatenate([np.repeat(np.arange(V), mark_counts),
-                          np.repeat(src[live], arrow_counts)]),
-        b=np.concatenate([np.full(n_marks, -1), np.repeat(dst[live], arrow_counts)]))
+        box, lam, horizon, np.concatenate([mark_times, arrow_times]) * horizon,
+        kinds[owner], a[owner], b[owner])
 
 
-def _resolve_set(box: BoxSpec, vertices) -> np.ndarray:
-    """Initial set as a bool mask; accepts 'all', vertex tuples, or indices."""
-    mask = np.zeros(box.n_vertices, dtype=bool)
+def _resolve_set(box: BoxSpec, vertices) -> bytearray:
+    """Initial set as a 0/1 bytearray; accepts 'all', vertex tuples, or indices."""
     if isinstance(vertices, str):
         if vertices != "all":
             raise ValueError(f"unknown vertex-set token {vertices!r}")
-        mask[:] = True
-        return mask
+        return bytearray(b"\x01") * box.n_vertices
+    st = bytearray(box.n_vertices)
     for v in vertices:
-        mask[lattice.site_index(box, v)] = True
-    return mask
+        st[lattice.site_index(box, v)] = 1
+    return st
 
 
 def _replay(rep: GraphicalRep, initial, dual: bool) -> frozenset:
     """The infected set at the horizon; ``dual`` reads each arrow backwards."""
     st = _resolve_set(rep.box, initial)
+    alive = st.count(1)
     _, kinds, a, b = rep.event_arrays()
     src, dst = (b, a) if dual else (a, b)
     for kind, x, u, w in zip(kinds, a, src, dst):
         if kind == _MARK:
-            st[x] = False
-        elif st[u]:
-            st[w] = True
-    return frozenset(int(v) for v in np.flatnonzero(st))
+            if st[x]:
+                st[x] = 0
+                alive -= 1
+                if not alive:
+                    return frozenset()
+        elif st[u] and not st[w]:
+            st[w] = 1
+            alive += 1
+    return frozenset(compress(range(len(st)), st))
 
 
 def percolate_forward(rep: GraphicalRep, initial) -> frozenset:
@@ -160,21 +193,21 @@ def _reversed_reading_alive(rep: GraphicalRep, site_idx: int) -> bool:
     vertex.  The original times order the replay directly, avoiding any
     horizon-minus-t rounding.
     """
-    st = np.zeros(rep.box.n_vertices, dtype=bool)
-    st[site_idx] = True
+    st = bytearray(rep.box.n_vertices)
+    st[site_idx] = 1
     alive = 1
-    times, kinds, a, b = rep.event_arrays()
-    for i in range(len(times) - 1, -1, -1):
-        if kinds[i] == _MARK:
-            if st[a[i]]:
-                st[a[i]] = False
+    _, kinds, a, b = rep.event_arrays()
+    for kind, x, y in zip(reversed(kinds), reversed(a), reversed(b)):
+        if kind == _MARK:
+            if st[x]:
+                st[x] = 0
                 alive -= 1
-                if alive == 0:
+                if not alive:
                     return False
-        elif st[b[i]] and not st[a[i]]:
-            st[a[i]] = True
+        elif st[y] and not st[x]:
+            st[x] = 1
             alive += 1
-    return alive > 0
+    return True
 
 
 def duality_check(rep: GraphicalRep) -> tuple[bool, bool]:
@@ -201,30 +234,33 @@ def removal_coupling_check(rep: GraphicalRep) -> bool:
     blocks reinfection.  The check asserts, after every
     single event, that the freezing variant's infected set is contained in
     the plain process's infected set; returns True when no event violates it.
+    It stops once the freezing variant has died: from then on its infected
+    set is empty, so containment cannot fail.
     """
     box = rep.box
     idx = lattice.vertex_index(box, box.origin)
-    plain = np.zeros(box.n_vertices, dtype=np.int8)
-    frozen = np.zeros(box.n_vertices, dtype=np.int8)
+    plain = bytearray(box.n_vertices)    # 0 healthy, 1 infected
+    frozen = bytearray(box.n_vertices)   # 0 healthy, 1 infected, 2 removed
     plain[idx] = frozen[idx] = 1
-    times, kinds, a, b = rep.event_arrays()
-    for i in range(len(times)):
-        if kinds[i] == _MARK:
-            x = a[i]
-            if plain[x] == 1:
-                plain[x] = 0
+    alive = 1                            # infected vertices of the freezing copy
+    _, kinds, a, b = rep.event_arrays()
+    for kind, x, y in zip(kinds, a, b):
+        if kind == _MARK:
+            plain[x] = 0
             if frozen[x] == 1:
-                frozen[x] = -1
+                frozen[x] = 2
+                alive -= 1
+                if not alive:
+                    return True
         else:
-            x, y = a[i], b[i]
-            if plain[x] == 1 and plain[y] == 0:
+            if plain[x]:
                 plain[y] = 1
-            if frozen[x] == 1 and frozen[y] == 0:
+            if frozen[x] == 1 and not frozen[y]:
                 frozen[y] = 1
-        # containment must hold after every event, and only the flipped
-        # vertices can break it
-        for v in (a[i], b[i]):
-            if v >= 0 and frozen[v] == 1 and plain[v] != 1:
+                alive += 1
+            # a mark leaves its vertex uninfected in the freezing copy and
+            # an arrow flips only its head, so containment can break only there
+            if frozen[y] == 1 and not plain[y]:
                 return False
     return True
 
@@ -264,10 +300,12 @@ def _annealed_trial(dist, lam, horizon, apex, fld, rng) -> tuple:
 
 
 def duality_annealed(dist: WeightDistribution, box: BoxSpec, lam: float,
-                     horizon: float, reps: int, seed: int) -> DualityEstimate:
+                     horizon: float, reps: int,
+                     seed: int | list[int]) -> DualityEstimate:
     """Estimate the three annealed indicators on separate fields and reps.
 
-    Each replicate draws a fresh weight field and a fresh event structure.
+    Each replicate draws a fresh weight field and a fresh event structure,
+    keyed by ``seed``, an int or a list of ints (see ``weights.seed_key``).
     In the annealed law all three probabilities coincide: the first two by
     time reversal of one diagram, the last by the coordinate flip x -> apex - x
     that exchanges the two edge orientations without changing the i.i.d.
@@ -306,14 +344,18 @@ def _coupling_trial(lam, horizon, fld, rng) -> bool:
 
 
 def duality_sweep(dist: WeightDistribution, box: BoxSpec, lam: float,
-                  horizon: float, reps: int, seed, jobs: int = 1) -> CheckReport:
-    """Run duality_check on fresh realizations; count disagreements."""
+                  horizon: float, reps: int, seed: int | list[int],
+                  jobs: int = 1) -> CheckReport:
+    """Run duality_check on fresh realizations keyed by ``seed``, an int or
+    a list of ints; count disagreements."""
     bad = annealed_map(partial(_duality_trial, lam, horizon), dist, box, reps, seed, jobs)
     return CheckReport(reps=reps, failures=sum(bad))
 
 
 def coupling_sweep(dist: WeightDistribution, box: BoxSpec, lam: float,
-                   horizon: float, reps: int, seed, jobs: int = 1) -> CheckReport:
-    """Run removal_coupling_check on fresh realizations; count violations."""
+                   horizon: float, reps: int, seed: int | list[int],
+                   jobs: int = 1) -> CheckReport:
+    """Run removal_coupling_check on fresh realizations keyed by ``seed``, an
+    int or a list of ints; count violations."""
     bad = annealed_map(partial(_coupling_trial, lam, horizon), dist, box, reps, seed, jobs)
     return CheckReport(reps=reps, failures=sum(bad))

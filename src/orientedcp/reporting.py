@@ -139,8 +139,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _create(path: str):
+    """Open ``path`` for writing, making its directory first.
+
+    Runs make their output directory here, at the first write, so a run
+    that fails before writing anything leaves no directory behind.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline="\n")
+
+
 def write_csv(path: str, header, rows, digest: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(f"# manifest_hash={digest}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -148,13 +158,13 @@ def write_csv(path: str, header, rows, digest: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(text)
 
 

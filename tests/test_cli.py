@@ -262,6 +262,15 @@ def test_unbracketable_scan_exits_2(tmp_path, capsys):
     assert "scan failed" in err and "probed rate=" in err
 
 
+def test_site_percolation_below_threshold_has_no_critical_rate(tmp_path, capsys):
+    # two_point(0.5) at d=2 is oriented site percolation below p_c ~ 0.7055:
+    # the open cluster is finite, so no rate makes the process survive
+    rc, out = _run(tmp_path, "critscan", "d=2", "dist.kind=two_point", "dist.p=0.5")
+    assert rc == 2
+    assert "no supercritical end" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("name, sets", [
     ("simulate", ("lambda=0.5",)),
     ("f-decay", ("box.d=2", "lambda=0.1")),
