@@ -100,6 +100,8 @@ def _stream_columns(box: BoxSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kinds = np.repeat(np.array([_MARK, _ARROW], np.int8), [V, src.size])
     a = np.concatenate([np.arange(V, dtype=np.int32), src])
     b = np.concatenate([np.full(V, -1, np.int32), dst])
+    for col in (kinds, a, b):
+        col.setflags(write=False)
     return kinds, a, b
 
 
