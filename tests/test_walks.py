@@ -251,3 +251,22 @@ def test_walk_estimators_golden_digest():
     assert len(rows) == 8
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "1379c5e13f2b8a49cc9d9f977ded69b313c64f0225d461e3284eccfddecdc43b"
+
+
+def test_collision_functional_golden_digest():
+    # Fixed outputs of the functional under both conventions, on a short
+    # horizon where many records are censored and on a longer one, for a
+    # constant law and a two-point law with M != 1.
+    rows = []
+    for law in (CONST, WeightDistribution.two_point(0.7, 2.0, 0.5)):
+        for d in (2, 3):
+            for convention in ("inclusive", "gap"):
+                for horizon in (7, 64):
+                    f = collision_functional(law, d, 0.4, 300, horizon,
+                                             seed=[d, horizon],
+                                             convention=convention)
+                    rows.append((f.value, f.se, f.censored_fraction, f.m_sums,
+                                 f.diverging))
+    assert len(rows) == 16
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "cda03fda2338849d1c5a34b2171300a115049018f6bd5d78c9a502185a017820"
