@@ -21,16 +21,14 @@ from .harris import (build, duality_annealed, duality_check, duality_sweep,
                      percolate_forward)
 from .moments import (count_paths_mc, expected_path_count,
                       path_count_moment_ratio, survival_lower_bound)
-from .walks import (WalkPair, collision_functional, collision_stats,
-                    meet_probability, sample_walk_pair)
+from .walks import collision_functional, meet_probability
 from .critfind import estimate_critical_rate
 
 __all__ = [
-    "BoxSpec", "Configuration", "ResourceLimitError", "ScanError", "WalkPair",
-    "WeightDistribution", "build", "collision_functional", "collision_stats",
-    "count_paths_mc", "decay_envelope", "duality_annealed", "duality_check",
-    "duality_sweep", "estimate_critical_rate", "expected_path_count",
-    "meet_probability", "path_count_moment_ratio", "percolate_forward", "run",
-    "sample_field", "sample_walk_pair", "survival_lower_bound",
-    "weighted_origin_occupancy",
+    "BoxSpec", "Configuration", "ResourceLimitError", "ScanError",
+    "WeightDistribution", "build", "collision_functional", "count_paths_mc",
+    "decay_envelope", "duality_annealed", "duality_check", "duality_sweep",
+    "estimate_critical_rate", "expected_path_count", "meet_probability",
+    "path_count_moment_ratio", "percolate_forward", "run", "sample_field",
+    "survival_lower_bound", "weighted_origin_occupancy",
 ]

@@ -238,10 +238,11 @@ def _cmd_moments(cfg, dist, out, jobs, digest):
         exact = moments.expected_path_count(dist, d, lam, n)
         mr = moments.path_count_moment_ratio(dist, d, lam, n, walk_samples=ws,
                                              seed=key + [i])
-        rows.append((d, n, lam, dist.label, exact, mr.value, mr.se, mr.survival_lb))
+        rows.append((d, n, lam, dist.label, exact, mr.value, mr.se, mr.survival_lb,
+                     mr.method))
     write_csv(os.path.join(out, "moments.csv"),
               ["d", "n", "lambda", "dist_id", "expected_count_exact",
-               "ratio_mc", "ratio_se", "survival_lb"], rows, digest)
+               "ratio", "ratio_se", "survival_lb", "method"], rows, digest)
     return ["moments.csv"]
 
 

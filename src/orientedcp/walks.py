@@ -1,11 +1,13 @@
 """Collision structure of two independent oriented walks.
 
 Both walks start at the origin and step along a uniformly chosen positive
-axis, so they can only share a vertex after equal step counts.  The record
-of those shared indices, split into runs where the walks travel together
-and isolated touches in between, measures how correlated two random paths
-are; the moment machinery consumes it through a closed-form integrand whose
-exponents count episodes, their lengths, and the isolated touches.
+axis, so they can only share a vertex after equal step counts.  The steps at
+which they share one, step 0 included, split into runs travelled together
+(episodes: two or more consecutive steps) and isolated touches in between.
+The moment machinery reads a record as three counts: the number of episodes
+t, the number of isolated touches sk, and the together-steps sl, the
+episodes' summed lengths; a closed-form integrand turns them into the
+record's weight in the pair-moment bound.
 
 All estimators here run on the difference walk: only the coordinate-wise
 difference of the two positions is tracked, with an incrementally updated
@@ -24,158 +26,6 @@ import numpy as np
 
 from .weights import WeightDistribution, rng_from
 
-
-@dataclass(frozen=True)
-class WalkPair:
-    """Two independent n-step walks; steps are axis indices in [0, d)."""
-
-    d: int
-    n_steps: int
-    steps_a: np.ndarray
-    steps_b: np.ndarray
-
-    def __post_init__(self):
-        for s in (self.steps_a, self.steps_b):
-            if len(s) != self.n_steps:
-                raise ValueError("step arrays must have length n_steps")
-            if len(s) and (np.min(s) < 0 or np.max(s) >= self.d):
-                raise ValueError("axis indices must lie in [0, d)")
-
-    def positions(self, which: str = "a") -> np.ndarray:
-        """(n_steps+1, d) integer positions including the origin row."""
-        steps = {"a": self.steps_a, "b": self.steps_b}[which]
-        pos = np.zeros((self.n_steps + 1, self.d), dtype=np.int64)
-        if self.n_steps:
-            np.cumsum(np.eye(self.d, dtype=np.int64)[np.asarray(steps)],
-                      axis=0, out=pos[1:])
-        return pos
-
-    def meet_indices(self) -> np.ndarray:
-        """Ascending step counts at which the walks share a vertex; 0 always."""
-        same = (self.positions("a") == self.positions("b")).all(axis=1)
-        return np.flatnonzero(same)
-
-
-def sample_walk_pair(d: int, n_steps: int, seed) -> WalkPair:
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    rng = rng_from(seed)
-    steps = rng.integers(0, d, size=(2, n_steps))
-    return WalkPair(d=d, n_steps=n_steps, steps_a=steps[0], steps_b=steps[1])
-
-
-@dataclass(frozen=True)
-class CollisionStats:
-    """Episode decomposition of the shared-vertex record of one walk pair.
-
-    episodes are maximal runs of >= 2 consecutive meeting indices, stored as
-    inclusive (start, end) pairs; isolated_counts[j] counts single-index
-    touches before episode 1 (j=0), between episodes j and j+1, and after
-    the last episode.  truncated is set when the walks meet at the final
-    index, where the run's true extent is cut off by the horizon.
-    """
-
-    d: int
-    n_steps: int
-    episodes: tuple
-    isolated_counts: tuple
-    truncated: bool
-
-    def __post_init__(self):
-        if len(self.isolated_counts) != len(self.episodes) + 1:
-            raise ValueError("need one isolated-count slot per gap")
-        prev_end = -1
-        for (s, e) in self.episodes:
-            if not (prev_end < s < e <= self.n_steps):
-                raise ValueError(f"episodes must be ordered runs, got {self.episodes}")
-            prev_end = e
-
-    @property
-    def n_episodes(self) -> int:
-        return len(self.episodes)
-
-    @property
-    def total_isolated(self) -> int:
-        return int(sum(self.isolated_counts))
-
-    def episode_lengths(self, convention: str = "inclusive") -> tuple:
-        """Lengths under the two published-count conventions.
-
-        "inclusive" counts meeting indices (end - start + 1, always >= 2);
-        "gap" counts steps between the endpoints (end - start, >= 1).
-        """
-        if convention == "inclusive":
-            return tuple(e - s + 1 for (s, e) in self.episodes)
-        if convention == "gap":
-            return tuple(e - s for (s, e) in self.episodes)
-        raise ValueError(f"unknown episode-length convention {convention!r}")
-
-
-def _stats_from_meets(meets, n_steps: int, d: int) -> CollisionStats:
-    """Classify an ascending meet-index array into episodes and touches.
-
-    A final run touching n_steps is classified provisionally (episode if it
-    already spans two indices, isolated touch otherwise) and flagged.
-    """
-    meets = np.asarray(meets, dtype=np.int64)
-    episodes = []
-    isolated = []           # (meet index, episodes seen so far)
-    run_start = None
-    prev = None
-    for m in meets.tolist():
-        if run_start is None:
-            run_start = prev = m
-            continue
-        if m == prev + 1:
-            prev = m
-            continue
-        if prev > run_start:
-            episodes.append((run_start, prev))
-        else:
-            isolated.append((run_start, len(episodes)))
-        run_start = prev = m
-    if run_start is not None:
-        if prev > run_start:
-            episodes.append((run_start, prev))
-        else:
-            isolated.append((run_start, len(episodes)))
-    counts = [0] * (len(episodes) + 1)
-    for (_, j) in isolated:
-        counts[j] += 1
-    truncated = bool(len(meets)) and int(meets[-1]) == n_steps
-    return CollisionStats(d=d, n_steps=n_steps, episodes=tuple(episodes),
-                          isolated_counts=tuple(counts), truncated=truncated)
-
-
-def collision_stats(wp: WalkPair) -> CollisionStats:
-    return _stats_from_meets(wp.meet_indices(), wp.n_steps, wp.d)
-
-
-def collision_integrand(stats: CollisionStats, dist: WeightDistribution,
-                        lam: float, convention: str = "inclusive") -> float:
-    """Closed-form weight of one collision record in the pair-moment bound.
-
-    Episodes are expensive (they put lam and the second moment in the
-    denominator per together-step), isolated touches cost a bounded factor,
-    and a record with no meetings at all contributes exactly 1.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    t = stats.n_episodes
-    sk = stats.total_isolated
-    sl = sum(stats.episode_lengths(convention))
-    big_m = dist.bound
-    m2 = dist.second_moment
-    num = 2.0 ** (t + sk) * big_m ** (6 * t + 4 * sk) \
-        * (1.0 + lam * big_m * big_m) ** (2 * sl + 2 * sk)
-    den = lam ** (sl - t) * m2 ** (sl + 2 * t + 2 * sk)
-    return num / den
-
-
-# ---------------------------------------------------------------------------
-# batched difference-walk estimators
 
 def _advance(rng, diff: np.ndarray, l1: np.ndarray, base: np.ndarray, d: int) -> None:
     """One synchronous step of the difference walk, l1 updated in place.
@@ -296,11 +146,56 @@ class FunctionalEstimate:
         return tuple(out)
 
 
+def _record_counts(rows: np.ndarray, steps: np.ndarray, horizon: int):
+    """(t, sk, sl, censored) per record from its meeting steps.
+
+    rows and steps list every (record, step) meeting, the step-0 touch of
+    each record 0..R-1 included, with steps ascending within a record.  A
+    run of consecutive steps is an episode when it covers two or more steps
+    and an isolated touch otherwise; sl counts the episodes' steps
+    (inclusive lengths).  A record is censored when its last meeting is at
+    the horizon, where its final run may go on.
+    """
+    order = np.argsort(rows, kind="stable")
+    rows, steps = rows[order], steps[order]
+    new_run = np.ones(len(rows), dtype=bool)
+    new_run[1:] = steps[1:] != steps[:-1] + 1    # a record's step 0 starts one
+    starts = np.flatnonzero(new_run)
+    length = np.diff(starts, append=len(rows))
+    owner = rows[starts]
+    episode = length >= 2
+    first = np.flatnonzero(steps == 0)
+    last = np.append(first[1:], len(rows)) - 1
+    n = len(first)
+    t = np.bincount(owner[episode], minlength=n)
+    sk = np.bincount(owner[~episode], minlength=n)
+    sl = np.bincount(rows, minlength=n) - sk
+    return t, sk, sl, steps[last] == horizon
+
+
+def _integrand(dist: WeightDistribution, lam: float, t: int, sk: int, sl: int) -> float:
+    """Closed-form weight of a record with t episodes over sl together-steps
+    and sk isolated touches.
+
+    Episodes are expensive (they put lam and the second moment in the
+    denominator per together-step), isolated touches cost a bounded factor,
+    and a record with no meetings at all would contribute exactly 1.
+    """
+    big_m = dist.bound
+    m2 = dist.second_moment
+    num = 2.0 ** (t + sk) * big_m ** (6 * t + 4 * sk) \
+        * (1.0 + lam * big_m * big_m) ** (2 * sl + 2 * sk)
+    den = lam ** (sl - t) * m2 ** (sl + 2 * t + 2 * sk)
+    return num / den
+
+
 def collision_functional(dist: WeightDistribution, d: int, lam: float,
                          samples: int, horizon: int = 10_000, seed=0,
                          convention: str = "inclusive") -> FunctionalEstimate:
     """Estimate the expected collision integrand over random walk pairs.
 
+    convention "inclusive" measures an episode by its meeting steps
+    (end - start + 1), "gap" by the steps between its ends (end - start).
     Records whose final index is a meeting are censored: their last run may
     extend past the horizon, so they are excluded from the average and only
     counted in censored_fraction.  In d=1 the two walks coincide at every
@@ -313,56 +208,40 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
         raise ValueError("d, samples, horizon must be >= 1")
     if convention not in ("inclusive", "gap"):
         raise ValueError(f"unknown episode-length convention {convention!r}")
+    if dist.second_moment <= 0:
+        raise ValueError("weight law has zero second moment; nothing can spread")
+    censored_all = FunctionalEstimate(d=d, lam=lam, samples=samples, horizon=horizon,
+                                      convention=convention, value=None, se=None,
+                                      censored_fraction=1.0, m_sums=(), diverging=False)
     if d == 1:
-        # deterministic full coincidence: one run covering every index
-        return FunctionalEstimate(d=d, lam=lam, samples=samples, horizon=horizon,
-                                  convention=convention, value=None, se=None,
-                                  censored_fraction=1.0, m_sums=(), diverging=False)
+        return censored_all
     rng = rng_from(seed)
     diff = np.zeros(samples * d, dtype=np.int32)
     l1 = np.zeros(samples, dtype=np.int64)
     base = np.arange(samples) * d
-    met_rows, met_steps = [], []
+    met_rows = [np.arange(samples, dtype=np.int32)]    # the origin touch
+    met_steps = [np.zeros(samples, dtype=np.int32)]
     for step in range(1, horizon + 1):
         _advance(rng, diff, l1, base, d)
         hits = np.flatnonzero(l1 == 0)
         if hits.size:
             met_rows.append(hits.astype(np.int32))
             met_steps.append(np.full(hits.size, step, dtype=np.int32))
-
-    # rows with no re-meet: origin touch only, complete record
-    base = collision_integrand(
-        CollisionStats(d=d, n_steps=horizon, episodes=(), isolated_counts=(1,),
-                       truncated=False), dist, lam, convention)
-    values = np.full(samples, base)
-    t_count = np.zeros(samples, dtype=np.int64)
-    censored = np.zeros(samples, dtype=bool)
-    if met_rows:
-        r_all = np.concatenate(met_rows)
-        s_all = np.concatenate(met_steps)
-        order = np.argsort(r_all, kind="stable")   # steps stay ascending per row
-        r_all, s_all = r_all[order], s_all[order]
-        cuts = np.flatnonzero(np.diff(r_all)) + 1
-        for chunk_rows, chunk_steps in zip(np.split(r_all, cuts), np.split(s_all, cuts)):
-            row = int(chunk_rows[0])
-            meets = np.concatenate(([0], chunk_steps))
-            st = _stats_from_meets(meets, horizon, d)
-            if st.truncated:
-                censored[row] = True
-            else:
-                values[row] = collision_integrand(st, dist, lam, convention)
-                t_count[row] = st.n_episodes
+    t, sk, sl, censored = _record_counts(np.concatenate(met_rows),
+                                         np.concatenate(met_steps), horizon)
     keep = ~censored
     n_keep = int(keep.sum())
-    cens_frac = 1.0 - n_keep / samples
     if n_keep == 0:
-        return FunctionalEstimate(d=d, lam=lam, samples=samples, horizon=horizon,
-                                  convention=convention, value=None, se=None,
-                                  censored_fraction=1.0, m_sums=(), diverging=False)
-    kept = values[keep]
+        return censored_all
+    if convention == "gap":
+        sl = sl - t
+    tk = t[keep]
+    triples, which = np.unique(np.stack([tk, sk[keep], sl[keep]], axis=1),
+                               axis=0, return_inverse=True)
+    kept = np.array([_integrand(dist, lam, *row)
+                     for row in triples.tolist()])[which.ravel()]
     value = float(kept.mean())
     se = float(kept.std(ddof=1) / math.sqrt(n_keep)) if n_keep > 1 else None
-    tk = t_count[keep]
     sums = []
     for m in range(int(tk.max()) + 1):
         sums.append((m, float(kept[tk == m].sum()) / n_keep))
@@ -371,5 +250,5 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
                     for m in range(1, len(dense) - 1))
     return FunctionalEstimate(d=d, lam=lam, samples=samples, horizon=horizon,
                               convention=convention, value=value, se=se,
-                              censored_fraction=cens_frac, m_sums=tuple(sums),
-                              diverging=diverging)
+                              censored_fraction=1.0 - n_keep / samples,
+                              m_sums=tuple(sums), diverging=diverging)

@@ -93,6 +93,19 @@ def test_moments_cli_exact_column(tmp_path):
         assert 0.0 <= float(row[7]) <= 1.0
 
 
+@pytest.mark.parametrize("walk_samples, method", [("0", "exact"), ("500", "mc")])
+def test_moments_cli_labels_its_route(tmp_path, walk_samples, method):
+    rc, out = _run(tmp_path, "moments", "d=2", "n=1,2", "lambda=0.5",
+                   f"walk_samples={walk_samples}")
+    assert rc == 0
+    _, header, rows = read_csv(os.path.join(out, "moments.csv"))
+    assert header == ["d", "n", "lambda", "dist_id", "expected_count_exact",
+                      "ratio", "ratio_se", "survival_lb", "method"]
+    assert [r[8] for r in rows] == [method, method]
+    if method == "exact":
+        assert all(float(r[6]) == 0.0 for r in rows)
+
+
 def test_ratio_cli_exact_route(tmp_path):
     rc, out = _run(tmp_path, "ratio", "d=2", "n=2", "lambda=1.0")
     assert rc == 0
@@ -125,6 +138,14 @@ def test_functional_cli(tmp_path):
         payload = json.load(fh)
     assert payload["value"] > 0.0
     assert sum(s for _, s in payload["m_sums"]) == pytest.approx(payload["value"])
+
+
+def test_functional_cli_zero_second_moment_exits_2(tmp_path, capsys):
+    rc, out = _run(tmp_path, "functional", "d=3", "lambda=0.3", "samples=50",
+                   "horizon=16", "dist.kind=two_point", "dist.p=0")
+    assert rc == 2
+    assert "zero second moment" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def _reject_constant(name):

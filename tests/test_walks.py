@@ -6,63 +6,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as sps
 
-from orientedcp.walks import (CollisionStats, WalkPair, _stats_from_meets,
-                              collision_functional, collision_integrand,
-                              collision_stats, meet_probability,
-                              sample_walk_pair)
+from orientedcp.moments import _patterns_between, _walk_positions
+from orientedcp.walks import (_integrand, _record_counts, collision_functional,
+                              meet_probability)
 from orientedcp.weights import WeightDistribution
 
 CONST = WeightDistribution.constant(1.0)
 
 
-def test_walk_pair_positions_and_validation():
-    wp = WalkPair(d=2, n_steps=3, steps_a=np.array([0, 1, 0]),
-                  steps_b=np.array([1, 1, 0]))
-    pos = wp.positions("a")
-    assert pos.shape == (4, 2)
-    assert pos[0].tolist() == [0, 0]
-    assert pos[-1].tolist() == [2, 1]
-    assert wp.meet_indices()[0] == 0
-    with pytest.raises(ValueError):
-        WalkPair(d=2, n_steps=3, steps_a=np.array([0, 1]), steps_b=np.array([0, 1, 0]))
-    with pytest.raises(ValueError):
-        WalkPair(d=2, n_steps=2, steps_a=np.array([0, 2]), steps_b=np.array([0, 1]))
+def _meets(steps_a, steps_b, d):
+    """(record, step) of every shared vertex of each walk pair, step 0
+    included, listed step by step as collision_functional collects them."""
+    pattern = _patterns_between(_walk_positions(steps_a, d), _walk_positions(steps_b, d))
+    steps, rows = np.nonzero(pattern.T)
+    return rows, steps
 
 
 def test_d1_full_coincidence():
-    wp = sample_walk_pair(1, 10, seed=4)
-    assert wp.meet_indices().tolist() == list(range(11))
-    st_ = collision_stats(wp)
-    assert st_.episodes == ((0, 10),)
-    assert st_.truncated
+    rows, steps = _meets(np.zeros((1, 10), dtype=int), np.zeros((1, 10), dtype=int), 1)
+    assert steps.tolist() == list(range(11))
+    t, sk, sl, censored = _record_counts(rows, steps, 10)
+    assert (t.tolist(), sk.tolist(), sl.tolist(), censored.tolist()) == \
+        ([1], [0], [11], [True])
     est = collision_functional(CONST, 1, 1.0, samples=50, horizon=30, seed=5)
     assert est.value is None and est.se is None
     assert est.censored_fraction == 1.0
     assert est.m_sums == ()
 
 
-def test_sampled_steps_are_uniform():
-    wp = sample_walk_pair(3, 6000, seed=12)
-    for steps in (wp.steps_a, wp.steps_b):
-        counts = np.bincount(steps, minlength=3)
-        assert counts.sum() == 6000
-        assert sps.chisquare(counts).pvalue > 1e-3
-
-
 def test_six_step_fixture():
-    wp = WalkPair(d=2, n_steps=6, steps_a=np.array([0, 1, 0, 0, 1, 0]),
-                  steps_b=np.array([1, 0, 0, 1, 0, 1]))
-    assert wp.meet_indices().tolist() == [0, 2, 3, 5]
-    st_ = collision_stats(wp)
-    assert st_.episodes == ((2, 3),)
-    assert st_.isolated_counts == (1, 1)
-    assert not st_.truncated
-    assert st_.episode_lengths("inclusive") == (2,)
-    assert st_.episode_lengths("gap") == (1,)
+    rows, steps = _meets(np.array([[0, 1, 0, 0, 1, 0]]),
+                         np.array([[1, 0, 0, 1, 0, 1]]), 2)
+    assert steps.tolist() == [0, 2, 3, 5]
+    t, sk, sl, censored = _record_counts(rows, steps, 6)
+    # one episode (2, 3), isolated touches at 0 and 5
+    assert (t.tolist(), sk.tolist(), sl.tolist(), censored.tolist()) == \
+        ([1], [2], [2], [False])
     # T=1, sum K=2, sum L=2: 2^3 * (1+1)^(4+4) with unit weights at lam=1
-    assert collision_integrand(st_, CONST, 1.0) == pytest.approx(2048.0)
+    assert _integrand(CONST, 1.0, 1, 2, 2) == pytest.approx(2048.0)
 
 
 def _stats_brute(meets, n_steps):
@@ -82,33 +64,35 @@ def _stats_brute(meets, n_steps):
     return tuple(episodes), tuple(counts), truncated
 
 
+def _assert_counts_match_brute(rows, steps, horizon):
+    t, sk, sl, censored = _record_counts(np.asarray(rows), np.asarray(steps), horizon)
+    assert len(t) == len(set(rows))
+    for r in range(len(t)):
+        meets = sorted(s for row, s in zip(rows, steps) if row == r)
+        eps, counts, trunc = _stats_brute(meets, horizon)
+        assert t[r] == len(eps)
+        assert sk[r] == sum(counts)
+        assert sl[r] == sum(e - s + 1 for (s, e) in eps)
+        assert censored[r] == trunc
+        assert sl[r] + sk[r] == len(meets)
+
+
 def test_classifier_vs_brute_on_sampled_pairs():
     rng = np.random.default_rng(77)
-    for _ in range(2000):
+    for _ in range(100):
         d = int(rng.integers(2, 4))
         n = int(rng.integers(1, 13))
-        wp = WalkPair(d=d, n_steps=n, steps_a=rng.integers(0, d, n),
-                      steps_b=rng.integers(0, d, n))
-        meets = wp.meet_indices().tolist()
-        st_ = collision_stats(wp)
-        eps, counts, trunc = _stats_brute(meets, n)
-        assert st_.episodes == eps
-        assert st_.isolated_counts == counts
-        assert st_.truncated == trunc
-        covered = sum(e - s + 1 for (s, e) in eps) + sum(counts)
-        assert covered == len(meets)
+        rows, steps = _meets(rng.integers(0, d, (20, n)), rng.integers(0, d, (20, n)), d)
+        _assert_counts_match_brute(rows.tolist(), steps.tolist(), n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 30), st.data())
 def test_classifier_vs_brute_hypothesis(n, data):
-    extra = data.draw(st.sets(st.integers(1, n), max_size=n))
-    meets = sorted({0} | extra)
-    got = _stats_from_meets(np.array(meets), n, 2)
-    eps, counts, trunc = _stats_brute(meets, n)
-    assert got.episodes == eps
-    assert got.isolated_counts == counts
-    assert got.truncated == trunc
+    records = data.draw(st.lists(st.sets(st.integers(1, n), max_size=n),
+                                 min_size=1, max_size=4))
+    pairs = sorted((s, r) for r, extra in enumerate(records) for s in {0} | extra)
+    _assert_counts_match_brute([r for _, r in pairs], [s for s, _ in pairs], n)
 
 
 def test_difference_norm_parity_is_even():
@@ -116,43 +100,21 @@ def test_difference_norm_parity_is_even():
     for _ in range(50):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 20))
-        wp = WalkPair(d=d, n_steps=n, steps_a=rng.integers(0, d, n),
-                      steps_b=rng.integers(0, d, n))
-        l1 = np.abs(wp.positions("a") - wp.positions("b")).sum(axis=1)
+        pos = _walk_positions(rng.integers(0, d, (2, n)), d)
+        l1 = np.abs(pos[0] - pos[1]).sum(axis=1)
         assert (l1 % 2 == 0).all()
 
 
-def test_collision_stats_validation():
-    with pytest.raises(ValueError):
-        CollisionStats(d=2, n_steps=5, episodes=((1, 3),), isolated_counts=(0,),
-                       truncated=False)
-    with pytest.raises(ValueError):
-        CollisionStats(d=2, n_steps=5, episodes=((3, 3),), isolated_counts=(0, 0),
-                       truncated=False)
-    with pytest.raises(ValueError):
-        CollisionStats(d=2, n_steps=5, episodes=((2, 4), (1, 3)),
-                       isolated_counts=(0, 0, 0), truncated=False)
-    with pytest.raises(ValueError):
-        CollisionStats(d=2, n_steps=5, episodes=((1, 2),), isolated_counts=(0, 0),
-                       truncated=False).episode_lengths("median")
-
-
 def test_integrand_fixtures():
-    empty = CollisionStats(d=2, n_steps=8, episodes=(), isolated_counts=(0,),
-                           truncated=False)
-    assert collision_integrand(empty, CONST, 1.0) == pytest.approx(1.0)
-    ep = CollisionStats(d=2, n_steps=10, episodes=((2, 3),), isolated_counts=(0, 1),
-                        truncated=False)
-    assert collision_integrand(ep, CONST, 1.0) == pytest.approx(256.0)
-    assert collision_integrand(ep, CONST, 1.0, convention="gap") == pytest.approx(64.0)
-    with pytest.raises(ValueError):
-        collision_integrand(empty, CONST, 0.0)
+    # (t, sk, sl): no meetings at all, one episode of two steps plus one touch
+    assert _integrand(CONST, 1.0, 0, 0, 0) == pytest.approx(1.0)
+    assert _integrand(CONST, 1.0, 1, 1, 2) == pytest.approx(256.0)
+    # the gap convention measures that episode as one step
+    assert _integrand(CONST, 1.0, 1, 1, 1) == pytest.approx(64.0)
     # bounded weights enter through sup and second moment
     half = WeightDistribution.constant(0.5)
-    one_touch = CollisionStats(d=2, n_steps=8, episodes=(), isolated_counts=(1,),
-                               truncated=False)
     want = 2.0 * 0.5 ** 4 * (1 + 0.25) ** 2 / 0.25 ** 2
-    assert collision_integrand(one_touch, half, 1.0) == pytest.approx(want)
+    assert _integrand(half, 1.0, 0, 1, 0) == pytest.approx(want)
 
 
 def test_meet_probability_tau1_matches_exact():
