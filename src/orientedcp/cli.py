@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -278,6 +279,11 @@ def _cmd_walks(cfg, dist, out, jobs, digest):
     return ["walks.csv"]
 
 
+def _finite_or_none(x):
+    """``x``, or None when it is a non-finite float, which JSON cannot hold."""
+    return None if x is not None and not math.isfinite(x) else x
+
+
 def _cmd_functional(cfg, dist, out, jobs, digest):
     est = walks.collision_functional(
         dist, cfg["d"], cfg["lambda"], cfg["samples"], horizon=cfg["horizon"],
@@ -285,7 +291,8 @@ def _cmd_functional(cfg, dist, out, jobs, digest):
     write_json(os.path.join(out, "functional.json"),
                {"d": est.d, "lambda": est.lam, "samples": est.samples,
                 "horizon": est.horizon, "convention": est.convention,
-                "value": est.value, "se": est.se,
+                "value": _finite_or_none(est.value),
+                "se": _finite_or_none(est.se),
                 "censored_fraction": est.censored_fraction,
                 "diverging": est.diverging,
                 "m_sums": [list(row) for row in est.m_sums],
@@ -304,7 +311,7 @@ def _cmd_critscan(cfg, dist, out, jobs, digest):
             jobs=jobs)
         for e in res.trace:
             probe_rows.append((e.d, dist.label, e.lam, e.p_hat, e.se,
-                               e.side, e.horizon, e.reps))
+                               e.side, e.horizon, e.reps, e.settled))
         summaries.append({"d": d, "dist_id": dist.label, "L": res.side,
                           "horizon": res.horizon, "threshold": res.threshold,
                           "tol": res.tol, "bracket": list(res.bracket),
@@ -317,8 +324,8 @@ def _cmd_critscan(cfg, dist, out, jobs, digest):
         ys.append(d * res.lam_hat)
         yerr.append(d * res.tol)
     write_csv(os.path.join(out, "probes.csv"),
-              ["d", "dist_id", "lambda", "p_hat", "se", "L", "horizon", "reps"],
-              probe_rows, digest)
+              ["d", "dist_id", "lambda", "p_hat", "se", "L", "horizon", "reps",
+               "settled"], probe_rows, digest)
     write_json(os.path.join(out, "critscan.json"), summaries)
     ref = 1.0 / dist.second_moment
     svg = line_chart([{"label": "d * estimated critical rate",
@@ -372,22 +379,21 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: they all take the same options."""
     parser = argparse.ArgumentParser(
         prog="orientedcp",
         description="simulation and moment tools for weighted oriented contact processes")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value file or a prior manifest.json")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed; overrides the config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default runs/<subcommand>)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for replicate loops")
-        p.add_argument("--set", action="append", default=[], metavar="K=V",
-                       help="override one config key")
+    parser.add_argument("subcommand", choices=list(_HANDLERS))
+    parser.add_argument("--config", help="key=value file or a prior manifest.json")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master seed; overrides the config file")
+    parser.add_argument("--out", default=None,
+                        help="output directory (default runs/<subcommand>)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for replicate loops")
+    parser.add_argument("--set", action="append", default=[], metavar="K=V",
+                        help="override one config key")
     return parser
 
 
@@ -409,8 +415,10 @@ def main(argv=None) -> int:
     except ScanError as e:
         print(f"orientedcp {sub}: scan failed: {e}", file=sys.stderr)
         for est in e.trace:
-            print(f"  probed rate={est.lam:.6g} p_hat={est.p_hat:.4f} "
-                  f"se={est.se:.4f}", file=sys.stderr)
+            read = (f"settled after {est.reps} reps" if est.settled
+                    else f"se={est.se:.4f}")
+            print(f"  probed rate={est.lam:.6g} p_hat={est.p_hat:.4f} {read}",
+                  file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:
         print(f"orientedcp {sub}: {e}", file=sys.stderr)

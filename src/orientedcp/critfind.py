@@ -6,6 +6,16 @@ corner, the boundary absorbs (arrows leaving the box are dropped), and
 honest only together with its convergence protocol, so scans can re-probe
 at doubled box side and horizon and report whether the estimate moved.
 
+A bracket end is read for its verdict alone (is the survival fraction of
+its N replicates at least, or at most, the threshold?), so its probe runs
+the replicates in order and stops at the first one after which that
+verdict can no longer change, whatever the remaining replicates do (a
+curtailed fixed-N test in the sense of Wald's sequential analysis).  The
+verdict, the seeds of every later probe and so the scan's answer are the
+ones the full N replicates give; only the bracket end's own trace entry
+changes: it reports the replicates run and their survival fraction, and
+no standard error, since stopping on the data voids the binomial one.
+
 Reference rates: 1 / (d * E[rho^2]) serves both as the mean-field
 prediction for the critical rate and as the provable floor below which the
 weighted occupancy decays exponentially; scans must land above that floor
@@ -32,7 +42,8 @@ class SurvivalEstimate:
     horizon: float
     reps: int
     p_hat: float
-    se: float
+    se: float | None        # None once the probe stopped on its data
+    settled: bool = False   # a bracket end stopped once its verdict was settled
 
 
 def _survives(start, lam, horizon, fld, rng) -> bool:
@@ -41,21 +52,47 @@ def _survives(start, lam, horizon, fld, rng) -> bool:
 
 def survival_probability(dist: WeightDistribution, d: int, side: int, lam: float,
                          horizon: float, reps: int, seed,
-                         jobs: int = 1) -> SurvivalEstimate:
+                         jobs: int = 1, stop=None) -> SurvivalEstimate:
     """Fresh weight field per replicate, infection from the origin corner.
 
     Replicates run through ``annealed_map``, so the answer does not depend
-    on ``jobs``.
+    on ``jobs``.  ``stop`` is handed to ``annealed_map``: the estimate is
+    then over the replicates run before it fired, marked ``settled``, and
+    carries no standard error.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     box = BoxSpec(d=d, side=side)
     start = Configuration.single_seed(box)  # run never modifies it
-    hits = sum(annealed_map(partial(_survives, start, lam, horizon), dist, box,
-                            reps, seed, jobs))
-    p = hits / reps
+    out = annealed_map(partial(_survives, start, lam, horizon), dist, box,
+                       reps, seed, jobs, stop)
+    n = len(out)
+    p = sum(out) / n
+    se = None if stop is not None else math.sqrt(p * (1.0 - p) / n)
     return SurvivalEstimate(lam=float(lam), d=d, side=side, horizon=float(horizon),
-                            reps=reps, p_hat=p, se=math.sqrt(p * (1.0 - p) / reps))
+                            reps=n, p_hat=p, se=se, settled=stop is not None)
+
+
+def _verdict(n: int, threshold: float, high: bool, hits: int, k: int) -> bool | None:
+    """The verdict of an n-replicate bracket end after k of them, or None.
+
+    The supercritical end (``high``) holds iff hits / n >= threshold over
+    all n replicates, the subcritical end iff hits / n <= threshold.  After
+    k replicates with ``hits`` survivals the final count lies in
+    [hits, hits + n - k], so the verdict is settled once both ends of that
+    range give the same answer; the comparisons are the scan's own.
+    """
+    if high:
+        if hits / n >= threshold:
+            return True
+        if (hits + n - k) / n < threshold:
+            return False
+    else:
+        if (hits + n - k) / n <= threshold:
+            return True
+        if hits / n > threshold:
+            return False
+    return None
 
 
 def scan_defaults(d: int) -> dict:
@@ -102,9 +139,15 @@ def estimate_critical_rate(dist: WeightDistribution, d: int,
 
     Bracketing starts at (0.5, 2.0) times the mean-field rate and widens
     geometrically, up to 6 times at each end; failure raises ScanError
-    carrying the probe trace.  A bisection probe whose estimate is within 2
-    standard errors of the threshold is re-probed once at 4x replicates; if
-    still inconclusive the scan stops early with status "statistically_limited".
+    carrying the probe trace.  An end holds when at most (subcritical) or
+    at least (supercritical) a threshold share of its
+    max(reps_per_probe // 4, 200) replicates survive; its probe stops at
+    the first replicate after which that verdict is settled (see the module
+    docstring), so the bracket, every later probe and the answer are those
+    of the full count, and the end's trace entry is ``settled`` with no
+    standard error.  A bisection probe whose estimate is within 2 standard
+    errors of the threshold is re-probed once at 4x replicates; if still
+    inconclusive the scan stops early with status "statistically_limited".
     check_box re-probes the answer at doubled side and horizon and flags
     whether the estimate moved by more than 3 joint standard errors.
     """
@@ -124,33 +167,40 @@ def estimate_critical_rate(dist: WeightDistribution, d: int,
     trace = []
     counter = [0]
 
-    def probe(lam: float, reps: int) -> SurvivalEstimate:
+    def probe(lam: float, reps: int, stop=None) -> SurvivalEstimate:
         est = survival_probability(dist, d, side, lam, horizon, reps,
-                                   seed=key + [counter[0]], jobs=jobs)
+                                   seed=key + [counter[0]], jobs=jobs, stop=stop)
         counter[0] += 1
         trace.append(est)
         return est
 
-    # bracket ends sit far from the threshold, so a coarse read suffices;
-    # full replicates are spent on the bisection probes only
+    # bracket ends sit far from the threshold, so a coarse read suffices,
+    # and only its verdict is used: each probe stops once that is settled
     bracket_reps = max(reps_per_probe // 4, 200)
+
+    def holds(lam: float, high: bool) -> bool:
+        verdict = [None]
+
+        def decided(out) -> bool:
+            verdict[0] = _verdict(bracket_reps, threshold, high, sum(out), len(out))
+            return verdict[0] is not None
+
+        probe(lam, bracket_reps, stop=decided)
+        return verdict[0]
+
     lo, hi = 0.5 * mf, 2.0 * mf
-    e_lo = probe(lo, bracket_reps)
     tries = 0
-    while e_lo.p_hat > threshold:
+    while not holds(lo, high=False):
         tries += 1
         if tries > _BRACKET_BUDGET:
             raise ScanError(f"no subcritical end below {lo:.6g}", trace)
         lo *= 0.5
-        e_lo = probe(lo, bracket_reps)
-    e_hi = probe(hi, bracket_reps)
     tries = 0
-    while e_hi.p_hat < threshold:
+    while not holds(hi, high=True):
         tries += 1
         if tries > _BRACKET_BUDGET:
             raise ScanError(f"no supercritical end up to {hi:.6g}", trace)
         hi *= 2.0
-        e_hi = probe(hi, bracket_reps)
 
     status = "converged"
     while hi - lo > tol:

@@ -10,6 +10,7 @@ row-major (last axis fastest), matching a C-order reshape of the box grid.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,17 +117,25 @@ def in_neighbor_indices(box: BoxSpec) -> np.ndarray:
     return _neighbor_indices(box, -1)
 
 
+_LIST_BLOCK = 4096  # rows converted per .tolist(), bounding the temporary
+
+
+def _rows_as_tuples(idx: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Each row of a neighbour-index array as a tuple, -1 entries dropped."""
+    blocks = (idx[b:b + _LIST_BLOCK].tolist() for b in range(0, len(idx), _LIST_BLOCK))
+    return tuple(tuple(r) if -1 not in r else tuple(j for j in r if j >= 0)
+                 for r in itertools.chain.from_iterable(blocks))
+
+
 @functools.lru_cache(maxsize=64)
 def out_neighbor_lists(box: BoxSpec) -> tuple[tuple[int, ...], ...]:
     """Out-neighbour indices as nested tuples, convenient for event loops."""
-    idx = out_neighbor_indices(box)
-    return tuple(tuple(int(j) for j in row if j >= 0) for row in idx)
+    return _rows_as_tuples(out_neighbor_indices(box))
 
 
 @functools.lru_cache(maxsize=64)
 def in_neighbor_lists(box: BoxSpec) -> tuple[tuple[int, ...], ...]:
-    idx = in_neighbor_indices(box)
-    return tuple(tuple(int(j) for j in row if j >= 0) for row in idx)
+    return _rows_as_tuples(in_neighbor_indices(box))
 
 
 @functools.lru_cache(maxsize=64)

@@ -5,6 +5,8 @@ package version).  The manifest records those inputs plus a sha256 over
 their canonical JSON; every CSV repeats that hash in a leading comment line
 so files can be traced back to the exact run that made them.  Floats are
 written with repr so re-parsing is lossless and re-running is byte-exact.
+JSON output is strict: a non-finite float raises ValueError instead of
+being written as Infinity or NaN, which strict parsers reject.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def write_csv(path: str, header, rows, digest: str) -> None:
 
 def write_json(path: str, obj) -> None:
     with _create(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -426,8 +426,11 @@ def _stream_key(key: list) -> np.ndarray:
     return np.array([_fold(key, h) for h in _STREAM], dtype=np.uint64)
 
 
+_ROUND = 32  # replicates per pooled round of a stopped annealed_map
+
+
 def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
-                 jobs: int = 1) -> list:
+                 jobs: int = 1, stop=None) -> list:
     """``trial(fld, rng)`` over replicates 0..reps-1, results in replicate order.
 
     ``fld`` is ``sample_field(dist, box, seed_key(seed) + [r])`` and ``rng``
@@ -436,22 +439,37 @@ def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
     must not keep it.  More than one job splits range(reps) over a process
     pool; ``trial`` must then pickle (a module-level function or a
     ``functools.partial`` of one).
+
+    ``stop``, if given, is called in this process on the results so far,
+    in replicate order, after each replicate; the list ends at the first
+    prefix it accepts.  With more than one job the replicates run in
+    rounds of ``_ROUND`` and each round's results are cut at that prefix,
+    so the answer still does not depend on ``jobs``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     key = seed_key(seed)
     jobs = max(1, int(jobs))
     if jobs == 1:
-        return _replicates(trial, dist, box, key, 0, reps)
+        return _replicates(trial, dist, box, key, 0, reps, stop)
     from concurrent.futures import ProcessPoolExecutor
-    edges = np.linspace(0, reps, jobs + 1).astype(int).tolist()
+    out = []
+    step = reps if stop is None else _ROUND
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = [pool.submit(_replicates, trial, dist, box, key, r0, r1)
-                 for r0, r1 in zip(edges, edges[1:])]
-        return [out for part in parts for out in part.result()]
+        for start in range(0, reps, step):
+            edges = np.linspace(start, min(start + step, reps), jobs + 1)
+            edges = edges.astype(int).tolist()
+            parts = [pool.submit(_replicates, trial, dist, box, key, r0, r1)
+                     for r0, r1 in zip(edges, edges[1:]) if r0 < r1]
+            for part in parts:
+                for res in part.result():
+                    out.append(res)
+                    if stop is not None and stop(out):
+                        return out
+    return out
 
 
-def _replicates(trial, dist, box, key, r0, r1) -> list:
+def _replicates(trial, dist, box, key, r0, r1, stop=None) -> list:
     bits = np.random.Philox(key=_stream_key(key))
     rng, state = np.random.Generator(bits), bits.state
     # counter words 2 and 3 name the stream; words 0 and 1 count its
@@ -463,6 +481,8 @@ def _replicates(trial, dist, box, key, r0, r1) -> list:
         counter[2] = r
         bits.state = state
         out.append(trial(sample_field(dist, box, key + [r]), rng))
+        if stop is not None and stop(out):
+            break
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from _oracles import read_csv
 from orientedcp import moments
 from orientedcp.cli import main
-from orientedcp.reporting import as_float, as_floats
+from orientedcp.reporting import as_float, as_floats, write_json
 
 
 def _run(tmp_path, name, *sets, out=None, extra=()):
@@ -161,14 +161,35 @@ def test_functional_cli_single_sample_is_strict_json(tmp_path):
     assert payload["se"] is None
 
 
+def test_functional_cli_overflowing_se_is_strict_json(tmp_path):
+    # at a low rate and a long horizon the sample spread overflows, so the
+    # standard error is not finite and is written as null
+    rc, out = _run(tmp_path, "functional", "d=2", "lambda=0.05", "samples=50",
+                   "horizon=3000", extra=("--seed", "1"))
+    assert rc == 0
+    with open(os.path.join(out, "functional.json")) as fh:
+        payload = json.loads(fh.read(), parse_constant=_reject_constant)
+    assert payload["se"] is None
+    assert payload["value"] > 0.0
+
+
+def test_write_json_refuses_non_finite_floats(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(str(tmp_path / "bad.json"), {"se": float("inf")})
+
+
 def test_critscan_cli(tmp_path):
     rc, out = _run(tmp_path, "critscan", "d=2", "L=5", "horizon=6.0",
                    "reps_per_probe=150", "tol=0.1", "check_box=false")
     assert rc == 0
     _, header, rows = read_csv(os.path.join(out, "probes.csv"))
     assert header == ["d", "dist_id", "lambda", "p_hat", "se", "L", "horizon",
-                      "reps"]
+                      "reps", "settled"]
     assert len(rows) >= 3
+    # bracket ends stop once their verdict is settled and carry no se
+    ends = [r for r in rows if r[8] == "true"]
+    assert len(ends) >= 2 and all(r[4] == "" for r in ends)
+    assert all(r[8] == "false" and r[4] != "" for r in rows if r not in ends)
     with open(os.path.join(out, "critscan.json")) as fh:
         (summary,) = json.load(fh)
     assert summary["status"] in ("converged", "statistically_limited")
@@ -281,6 +302,7 @@ def test_unbracketable_scan_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "scan failed" in err and "probed rate=" in err
+    assert "settled after" in err
 
 
 def test_site_percolation_below_threshold_has_no_critical_rate(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import nested_survival
-from orientedcp.critfind import (estimate_critical_rate, scan_defaults,
+from orientedcp.critfind import (_verdict, estimate_critical_rate, scan_defaults,
                                  survival_probability)
 from orientedcp.errors import ScanError
 from orientedcp.kinetics import decay_envelope, weighted_origin_occupancy
@@ -76,7 +78,13 @@ def test_estimate_critical_rate_smoke():
     assert res.lam_hat < 8.0 * mf
     assert res.scaled == pytest.approx(res.lam_hat / mf)
     assert len(res.trace) >= 3
-    assert all(e.reps in (200, 300, 1200) for e in res.trace)
+    # bracket ends stop once their 200-replicate verdict is settled; the
+    # bisection probes run their fixed 300 or 1200
+    ends = [e for e in res.trace if e.settled]
+    assert len(ends) >= 2
+    assert all(1 <= e.reps <= 200 and e.se is None for e in ends)
+    assert all(e.reps in (300, 1200) and e.se is not None
+               for e in res.trace if not e.settled)
     again = estimate_critical_rate(CONST, 2, side=6, horizon=8.0,
                                    reps_per_probe=300, threshold=0.05,
                                    tol=0.05, seed=6, check_box=False)
@@ -116,3 +124,47 @@ def test_estimate_critical_rate_validation():
         estimate_critical_rate(CONST, 2, threshold=1.5)
     with pytest.raises(ValueError, match="tol"):
         estimate_critical_rate(CONST, 2, tol=-0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 400), high=st.booleans(), data=st.data())
+def test_settled_verdict_is_the_fixed_count_verdict(n, high, data):
+    # thresholds of the form j / n put the final fraction exactly on the
+    # threshold, where a strict and a loose comparison part ways
+    threshold = data.draw(st.one_of(st.floats(0.001, 0.999),
+                                    st.integers(1, n - 1).map(lambda j: j / n)))
+    hits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    full = sum(hits) / n >= threshold if high else sum(hits) / n <= threshold
+    h = 0
+    for k, hit in enumerate(hits, 1):
+        h += hit
+        verdict = _verdict(n, threshold, high, h, k)
+        if verdict is not None:
+            break
+    assert k <= n
+    assert verdict == full
+
+
+def test_bracket_ends_stop_early_with_the_fixed_count_answer():
+    # the supercritical end is far above threshold, so its verdict settles
+    # within the first few dozen of its 200 replicates
+    res = estimate_critical_rate(CONST, 2, side=6, horizon=8.0,
+                                 reps_per_probe=300, threshold=0.05,
+                                 tol=0.05, seed=6, check_box=False)
+    hi_end = next(e for e in res.trace if e.settled and e.lam == 2.0 * 0.5)
+    assert hi_end.reps < 200
+    assert hi_end.p_hat * hi_end.reps >= 0.05 * 200
+    full = survival_probability(CONST, 2, 6, hi_end.lam, 8.0, 200,
+                                seed=[6, res.trace.index(hi_end)])
+    assert full.p_hat >= 0.05
+    assert not full.settled and full.se is not None
+
+
+def test_estimate_critical_rate_jobs_invariance():
+    kw = dict(side=4, horizon=5.0, reps_per_probe=150, threshold=0.05,
+              tol=0.1, seed=9, check_box=True)
+    one = estimate_critical_rate(CONST, 2, jobs=1, **kw)
+    two = estimate_critical_rate(CONST, 2, jobs=2, **kw)
+    assert any(e.settled for e in one.trace)
+    assert two.trace == one.trace
+    assert (two.lam_hat, two.box_check) == (one.lam_hat, one.box_check)

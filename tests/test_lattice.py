@@ -87,6 +87,26 @@ def test_vertex_index_roundtrip_random(d, side, data):
     assert index_vertex(box, lattice.vertex_index(box, x)) == x
 
 
+@pytest.mark.parametrize("d, side", [(1, 9), (2, 7), (3, 5), (4, 4), (5, 3)])
+def test_neighbor_lists_equal_the_row_comprehension(d, side):
+    # the block-wise tolist rows are the tuples of a plain walk over the rows
+    box = BoxSpec(d=d, side=side)
+    for lists, table in ((lattice.out_neighbor_lists, lattice.out_neighbor_indices),
+                         (lattice.in_neighbor_lists, lattice.in_neighbor_indices)):
+        want = tuple(tuple(int(j) for j in row if j >= 0) for row in table(box))
+        got = lists(box)
+        assert got == want
+        assert all(type(j) is int for row in got for j in row)
+
+
+def test_neighbor_lists_span_several_blocks():
+    box = BoxSpec(d=2, side=90)  # 8281 rows, three conversion blocks
+    want = tuple(tuple(int(j) for j in row if j >= 0)
+                 for row in lattice.out_neighbor_indices(box))
+    assert box.n_vertices > 2 * lattice._LIST_BLOCK
+    assert lattice.out_neighbor_lists(box) == want
+
+
 def test_neighbor_index_tables_match_lists():
     box = BoxSpec(d=2, side=3)
     out_tab = lattice.out_neighbor_indices(box)

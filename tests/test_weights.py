@@ -314,6 +314,27 @@ def test_two_builds_read_consecutive_draws_of_one_stream():
     assert annealed_map(_two_builds, THREE, box, 4, 6, jobs=2) == out
 
 
+def _index(fld, rng):
+    return rng.random()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_annealed_map_stop_cuts_at_the_first_accepted_prefix(jobs):
+    # the stop predicate sees the results in replicate order, and the list
+    # ends at its first yes, whatever the number of jobs
+    box = BoxSpec(d=1, side=2)
+    full = annealed_map(_index, THREE, box, 70, 3)
+    seen = []
+
+    def stop(out):
+        seen.append(len(out))
+        return len(out) == 45
+
+    assert annealed_map(_index, THREE, box, 70, 3, jobs, stop) == full[:45]
+    assert seen == list(range(1, 46))
+    assert annealed_map(_index, THREE, box, 70, 3, jobs, lambda out: False) == full
+
+
 def test_annealed_map_rejects_zero_reps():
     box = BoxSpec(d=2, side=3)
     with pytest.raises(ValueError, match="reps must be >= 1"):
