@@ -295,8 +295,9 @@ def _cmd_functional(cfg, dist, out, jobs, digest):
                 "se": _finite_or_none(est.se),
                 "censored_fraction": est.censored_fraction,
                 "diverging": est.diverging,
-                "m_sums": [list(row) for row in est.m_sums],
-                "m_sum_ratios": [list(row) for row in est.m_sum_ratios()]})
+                "m_sums": [[m, _finite_or_none(v)] for m, v in est.m_sums],
+                "m_sum_ratios": [[m, _finite_or_none(v)]
+                                 for m, v in est.m_sum_ratios()]})
     return ["functional.json"]
 
 

@@ -6,7 +6,8 @@ their canonical JSON; every CSV repeats that hash in a leading comment line
 so files can be traced back to the exact run that made them.  Floats are
 written with repr so re-parsing is lossless and re-running is byte-exact.
 JSON output is strict: a non-finite float raises ValueError instead of
-being written as Infinity or NaN, which strict parsers reject.
+being written as Infinity or NaN, which strict parsers reject, and it
+raises before the file (or its directory) is made.
 """
 
 from __future__ import annotations
@@ -160,9 +161,9 @@ def write_csv(path: str, header, rows, digest: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    with _create(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    with _create(path) as fh:  # after encoding: a refusal leaves no file
+        fh.write(text + "\n")
 
 
 def write_text(path: str, text: str) -> None:

@@ -426,9 +426,6 @@ def _stream_key(key: list) -> np.ndarray:
     return np.array([_fold(key, h) for h in _STREAM], dtype=np.uint64)
 
 
-_ROUND = 32  # replicates per pooled round of a stopped annealed_map
-
-
 def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
                  jobs: int = 1, stop=None) -> list:
     """``trial(fld, rng)`` over replicates 0..reps-1, results in replicate order.
@@ -442,9 +439,9 @@ def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
 
     ``stop``, if given, is called in this process on the results so far,
     in replicate order, after each replicate; the list ends at the first
-    prefix it accepts.  With more than one job the replicates run in
-    rounds of ``_ROUND`` and each round's results are cut at that prefix,
-    so the answer still does not depend on ``jobs``.
+    prefix it accepts.  One job stops running replicates there; more than
+    one run all ``reps`` and cut the list at the same prefix, so the answer
+    does not depend on ``jobs``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -453,19 +450,18 @@ def annealed_map(trial, dist: WeightDistribution, box: BoxSpec, reps: int, seed,
     if jobs == 1:
         return _replicates(trial, dist, box, key, 0, reps, stop)
     from concurrent.futures import ProcessPoolExecutor
-    out = []
-    step = reps if stop is None else _ROUND
+    edges = np.linspace(0, reps, jobs + 1).astype(int).tolist()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for start in range(0, reps, step):
-            edges = np.linspace(start, min(start + step, reps), jobs + 1)
-            edges = edges.astype(int).tolist()
-            parts = [pool.submit(_replicates, trial, dist, box, key, r0, r1)
-                     for r0, r1 in zip(edges, edges[1:]) if r0 < r1]
-            for part in parts:
-                for res in part.result():
-                    out.append(res)
-                    if stop is not None and stop(out):
-                        return out
+        parts = [pool.submit(_replicates, trial, dist, box, key, r0, r1)
+                 for r0, r1 in zip(edges, edges[1:])]
+        results = [out for part in parts for out in part.result()]
+    if stop is None:
+        return results
+    out = []
+    for res in results:
+        out.append(res)
+        if stop(out):
+            break
     return out
 
 

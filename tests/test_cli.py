@@ -173,9 +173,27 @@ def test_functional_cli_overflowing_se_is_strict_json(tmp_path):
     assert payload["value"] > 0.0
 
 
+def test_functional_cli_overflowing_value_is_strict_json(tmp_path):
+    # longer still, some integrands overflow: the mean, its m-sum and a
+    # ratio of m-sums are then not finite, and each is written as null
+    rc, out = _run(tmp_path, "functional", "d=2", "lambda=0.05", "samples=50",
+                   "horizon=15000", extra=("--seed", "2"))
+    assert rc == 0
+    with open(os.path.join(out, "functional.json")) as fh:
+        payload = json.loads(fh.read(), parse_constant=_reject_constant)
+    assert payload["value"] is None and payload["se"] is None
+    assert any(v is None for _, v in payload["m_sums"])
+    assert any(v is None for _, v in payload["m_sum_ratios"])
+    assert all(v is None or v >= 0.0 for _, v in payload["m_sums"])
+
+
 def test_write_json_refuses_non_finite_floats(tmp_path):
-    with pytest.raises(ValueError):
-        write_json(str(tmp_path / "bad.json"), {"se": float("inf")})
+    # the refusal comes before the file or its directory is made
+    path = tmp_path / "run" / "bad.json"
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            write_json(str(path), {"se": bad})
+    assert not (tmp_path / "run").exists()
 
 
 def test_critscan_cli(tmp_path):
