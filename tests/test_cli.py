@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 
@@ -115,6 +117,35 @@ def test_ratio_cli_exact_route(tmp_path):
     assert payload["ratio"] >= 1.0
     assert payload["ratio_se"] == 0.0
     assert os.path.exists(os.path.join(out, "ratio.csv"))
+
+
+_RATIO_LAWS = (
+    (),
+    ("dist.kind=two_point", "dist.p=0.5", "dist.hi=2", "dist.lo=0.5"),
+    ("dist.kind=table", "dist.values=0.3,1,2", "dist.probs=0.2,0.5,0.3"),
+)
+
+
+def _exact_ratio_fields(out, law, d, n, lam, bound):
+    """(ratio, ratio_se, numerator, denominator, survival_lb) of one exact run."""
+    rc, out = _run(None, "ratio", f"d={d}", f"n={n}", f"lambda={lam}",
+                   f"use_bound={str(bound).lower()}", *law, out=out)
+    assert rc == 0
+    with open(os.path.join(out, "ratio.json")) as fh:
+        payload = json.load(fh)
+    return tuple(payload[k] for k in ("ratio", "ratio_se", "numerator",
+                                      "denominator", "survival_lb"))
+
+
+def test_exact_ratio_fields_golden(tmp_path):
+    # sha256 of the fields' reprs over 3 laws x (d, n) x lambda x use_bound
+    grid = itertools.product(_RATIO_LAWS, ((2, 4), (3, 3)), (0.4, 1.3),
+                             (False, True))
+    rows = [_exact_ratio_fields(str(tmp_path / str(i)), law, d, n, lam, bound)
+            for i, (law, (d, n), lam, bound) in enumerate(grid)]
+    assert len(rows) == 24
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "8368185cf1686c1f1ddc9f4f258d3fb6354fcc40cc60bafc0e212580cbcd1ae8"
 
 
 def test_walks_cli(tmp_path):
