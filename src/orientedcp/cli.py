@@ -56,11 +56,6 @@ _SCHEMAS = {
     "moments": {
         "d": (as_int, _REQ), "n": (as_ints, [2, 4, 6]),
         "lambda": (as_float, _REQ), "walk_samples": (as_int, 20_000),
-        "seed": (as_int, 0),
-    },
-    "ratio": {
-        "d": (as_int, _REQ), "n": (as_int, _REQ),
-        "lambda": (as_float, _REQ), "walk_samples": (as_int, 0),
         "use_bound": (as_bool, False), "seed": (as_int, 0),
     },
     "walks": {
@@ -238,31 +233,15 @@ def _cmd_moments(cfg, dist, out, jobs, digest):
     for i, n in enumerate(cfg["n"]):
         exact = moments.expected_path_count(dist, d, lam, n)
         mr = moments.path_count_moment_ratio(dist, d, lam, n, walk_samples=ws,
-                                             seed=key + [i])
+                                             seed=key + [i],
+                                             use_bound=cfg["use_bound"])
         rows.append((d, n, lam, dist.label, exact, mr.value, mr.se, mr.survival_lb,
-                     mr.method))
+                     mr.method, mr.numerator, mr.denominator))
     write_csv(os.path.join(out, "moments.csv"),
               ["d", "n", "lambda", "dist_id", "expected_count_exact",
-               "ratio", "ratio_se", "survival_lb", "method"], rows, digest)
+               "ratio", "ratio_se", "survival_lb", "method", "numerator",
+               "denominator"], rows, digest)
     return ["moments.csv"]
-
-
-def _cmd_ratio(cfg, dist, out, jobs, digest):
-    d, n, lam = cfg["d"], cfg["n"], cfg["lambda"]
-    mr = moments.path_count_moment_ratio(
-        dist, d, lam, n, walk_samples=cfg["walk_samples"] or None,
-        seed=cfg["seed"], use_bound=cfg["use_bound"])
-    write_json(os.path.join(out, "ratio.json"),
-               {"d": d, "n": n, "lambda": lam, "dist_id": dist.label,
-                "method": mr.method, "ratio": mr.value, "ratio_se": mr.se,
-                "numerator": mr.numerator, "denominator": mr.denominator,
-                "survival_lb": mr.survival_lb})
-    write_csv(os.path.join(out, "ratio.csv"),
-              ["d", "n", "lambda", "dist_id", "method", "ratio", "ratio_se",
-               "survival_lb"],
-              [(d, n, lam, dist.label, mr.method, mr.value, mr.se, mr.survival_lb)],
-              digest)
-    return ["ratio.csv", "ratio.json"]
 
 
 def _cmd_walks(cfg, dist, out, jobs, digest):
@@ -373,9 +352,8 @@ def _cmd_report(cfg, dist, out, jobs, digest):
 
 _HANDLERS = {
     "simulate": _cmd_simulate, "f-decay": _cmd_fdecay, "duality": _cmd_duality,
-    "zeta-check": _cmd_zeta, "moments": _cmd_moments, "ratio": _cmd_ratio,
-    "walks": _cmd_walks, "functional": _cmd_functional,
-    "critscan": _cmd_critscan, "report": _cmd_report,
+    "zeta-check": _cmd_zeta, "moments": _cmd_moments, "walks": _cmd_walks,
+    "functional": _cmd_functional, "critscan": _cmd_critscan, "report": _cmd_report,
 }
 
 

@@ -165,12 +165,10 @@ def estimate_critical_rate(dist: WeightDistribution, d: int,
         raise ValueError("tol must be positive")
     key = seed_key(seed)
     trace = []
-    counter = [0]
 
     def probe(lam: float, reps: int, stop=None) -> SurvivalEstimate:
         est = survival_probability(dist, d, side, lam, horizon, reps,
-                                   seed=key + [counter[0]], jobs=jobs, stop=stop)
-        counter[0] += 1
+                                   seed=key + [len(trace)], jobs=jobs, stop=stop)
         trace.append(est)
         return est
 

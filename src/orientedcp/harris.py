@@ -150,13 +150,16 @@ def _resolve_set(box: BoxSpec, vertices) -> bytearray:
     return st
 
 
-def _replay(rep: GraphicalRep, initial, dual: bool) -> frozenset:
-    """The infected set at the horizon; ``dual`` reads each arrow backwards."""
+def _replay(rep: GraphicalRep, initial, dual: bool,
+            backwards: bool = False) -> frozenset:
+    """The infected set at the end of the table; ``dual`` reads each arrow
+    from head to tail, ``backwards`` reads the events newest first.
+    """
     st = _resolve_set(rep.box, initial)
     alive = st.count(1)
     _, kinds, a, b = rep.event_arrays()
-    src, dst = (b, a) if dual else (a, b)
-    for kind, x, u, w in zip(kinds, a, src, dst):
+    cols = (kinds, a, b, a) if dual else (kinds, a, a, b)
+    for kind, x, u, w in zip(*(map(reversed, cols) if backwards else cols)):
         if kind == _MARK:
             if st[x]:
                 st[x] = 0
@@ -187,31 +190,6 @@ def percolate_dual(rep: GraphicalRep, initial) -> frozenset:
     return _replay(rep, initial, dual=True)
 
 
-def _reversed_reading_alive(rep: GraphicalRep, site_idx: int) -> bool:
-    """Does the reversed-time reading from (site, horizon) reach time 0?
-
-    Events are replayed newest first; an arrow x -> y is traversed from its
-    head y back to its tail x, and a mark kills the dual particle on its
-    vertex.  The original times order the replay directly, avoiding any
-    horizon-minus-t rounding.
-    """
-    st = bytearray(rep.box.n_vertices)
-    st[site_idx] = 1
-    alive = 1
-    _, kinds, a, b = rep.event_arrays()
-    for kind, x, y in zip(reversed(kinds), reversed(a), reversed(b)):
-        if kind == _MARK:
-            if st[x]:
-                st[x] = 0
-                alive -= 1
-                if not alive:
-                    return False
-        elif st[y] and not st[x]:
-            st[x] = 1
-            alive += 1
-    return True
-
-
 def duality_check(rep: GraphicalRep) -> tuple[bool, bool]:
     """(forward indicator, reversed-reading indicator) on one realization.
 
@@ -220,12 +198,13 @@ def duality_check(rep: GraphicalRep) -> tuple[bool, bool]:
     arrows tail-ward down the same diagram, asking whether anything is still
     alive at time 0.  The two booleans must be equal realization by
     realization.  The apex is the site whose backward cone fills the box,
-    so both readings have room to propagate inside it.
+    so both readings have room to propagate inside it.  The reversed
+    reading replays the table newest first, so no horizon-minus-t rounding
+    enters it.
     """
     idx = lattice.vertex_index(rep.box, rep.box.apex)
     fwd = idx in percolate_forward(rep, "all")
-    rev = _reversed_reading_alive(rep, idx)
-    return fwd, rev
+    return fwd, bool(_replay(rep, [idx], dual=True, backwards=True))
 
 
 def removal_coupling_check(rep: GraphicalRep) -> bool:

@@ -49,39 +49,36 @@ def shared_source_pass_probability(lam, a, c, c_hat):
     return 1.0 - 1.0 / (1.0 + r1) - 1.0 / (1.0 + r2) + 1.0 / (1.0 + r1 + r2)
 
 
-class TransferOperator:
-    """First-moment recursion over the weight support.
+def _pass_matrices(dist: WeightDistribution, lam: float):
+    """(p, G, A) over the weight support a_i with probabilities p_i.
 
-    With support values a_i carrying probabilities p_i, the matrix
-    A[i, j] = p_j * g(a_i, a_j) propagates the conditional expectation of an
-    open chain one step.  chain_expectation(n) is the probability that one
-    fixed n-step path is fully open under i.i.d. vertex weights.
+    G[i, j] = g(a_i, a_j) is the one-edge pass probability and
+    A[i, j] = p_j * G[i, j] propagates the conditional expectation of an
+    open chain one step.
     """
-
-    def __init__(self, dist: WeightDistribution, lam: float):
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
-        self.dist = dist
-        self.lam = float(lam)
-        self.values = np.asarray(dist.values, dtype=np.float64)
-        self.probs = np.asarray(dist.probs, dtype=np.float64)
-        self.gain = edge_pass_probability(lam, self.values[:, None], self.values[None, :])
-        self.matrix = self.gain * self.probs[None, :]
-
-    def chain_expectation(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("chain length must be nonnegative")
-        v = np.ones(len(self.values))
-        for _ in range(n):
-            v = self.matrix @ v
-        return float(self.probs @ v)
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    a = np.asarray(dist.values, dtype=np.float64)
+    p = np.asarray(dist.probs, dtype=np.float64)
+    G = edge_pass_probability(lam, a[:, None], a[None, :])
+    return p, G, G * p[None, :]
 
 
 def expected_path_count(dist: WeightDistribution, d: int, lam: float, n: int) -> float:
-    """E[number of open n-step paths from the origin] = d^n * chain."""
+    """E[number of open n-step paths from the origin] = d^n * chain.
+
+    chain = p . A^n . 1 is the probability that one fixed n-step path is
+    fully open under i.i.d. vertex weights.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return float(d) ** n * TransferOperator(dist, lam).chain_expectation(n)
+    p, _, A = _pass_matrices(dist, lam)
+    if n < 0:
+        raise ValueError("chain length must be nonnegative")
+    v = np.ones(len(p))
+    for _ in range(n):
+        v = A @ v
+    return float(d) ** n * float(p @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +184,11 @@ def pair_chain_expectation(pattern, dist: WeightDistribution, lam: float,
     pat = tuple(bool(x) for x in pattern)
     if len(pat) < 1 or not pat[0]:
         raise ValueError("pattern must start at a shared origin")
-    a = np.asarray(dist.values, dtype=np.float64)
-    p = np.asarray(dist.probs, dtype=np.float64)
-    G = edge_pass_probability(lam, a[:, None], a[None, :])
-    A = G * p[None, :]
+    p, G, A = _pass_matrices(dist, lam)
     if use_bound:
         split3 = 2.0 * G[:, :, None] * G[:, None, :]
     else:
+        a = np.asarray(dist.values, dtype=np.float64)
         split3 = shared_source_pass_probability(
             lam, a[:, None, None], a[None, :, None], a[None, None, :])
     split3 = split3 * p[None, :, None] * p[None, None, :]

@@ -118,7 +118,8 @@ class FunctionalEstimate:
     """MC average of the collision integrand over complete records.
 
     value is None when every sampled record was cut off by the horizon, and
-    se is None when fewer than two records are kept;
+    inf or nan once an integrand leaves the float range; se is None when
+    fewer than two records are kept or when their spread is not finite;
     m_sums[m] is the contribution to value from records with exactly m
     episodes (they sum to value); diverging flags growth of consecutive
     m-sums from m=1 on, the empirical signature that the pair-moment series
@@ -186,6 +187,8 @@ def _integrand(dist: WeightDistribution, lam: float, t: int, sk: int, sl: int) -
     num = 2.0 ** (t + sk) * big_m ** (6 * t + 4 * sk) \
         * (1.0 + lam * big_m * big_m) ** (2 * sl + 2 * sk)
     den = lam ** (sl - t) * m2 ** (sl + 2 * t + 2 * sk)
+    if den == 0.0:  # underflowed: IEEE gives inf, or nan for 0 / 0; Python raises
+        return math.inf if num else math.nan
     return num / den
 
 
@@ -240,11 +243,13 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
                                axis=0, return_inverse=True)
     kept = np.array([_integrand(dist, lam, *row)
                      for row in triples.tolist()])[which.ravel()]
-    value = float(kept.mean())
-    se = float(kept.std(ddof=1) / math.sqrt(n_keep)) if n_keep > 1 else None
-    sums = []
-    for m in range(int(tk.max()) + 1):
-        sums.append((m, float(kept[tk == m].sum()) / n_keep))
+    # integrands past the float range make these inf or nan, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(kept.mean())
+        se = float(kept.std(ddof=1) / math.sqrt(n_keep)) if n_keep > 1 else math.inf
+        sums = [(m, float(kept[tk == m].sum()) / n_keep)
+                for m in range(int(tk.max()) + 1)]
+    se = se if math.isfinite(se) else None
     dense = [s for (_, s) in sums]
     diverging = any(dense[m] > 0.0 and dense[m + 1] >= dense[m]
                     for m in range(1, len(dense) - 1))

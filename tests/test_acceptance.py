@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from orientedcp import critfind, harris, kinetics, moments, walks
+from orientedcp import cli, critfind, harris, kinetics, moments, walks
 from orientedcp.cli import main
 from orientedcp.lattice import BoxSpec
 from orientedcp.weights import WeightDistribution, constant_field
@@ -271,13 +271,19 @@ SMALL_RUNS = (
     ("zeta-check", ("lambda=1.0", "box.L=4", "horizon=2.0", "reps=150",
                     "seed=4")),
     ("moments", ("d=2", "n=1,2", "lambda=0.5", "walk_samples=500", "seed=9")),
-    ("ratio", ("d=2", "n=2", "lambda=1.0", "seed=2")),
+    ("moments", ("d=2", "n=2", "lambda=1.0", "walk_samples=0", "use_bound=true",
+                 "seed=2")),
     ("walks", ("d=2,3", "horizon=100", "samples=1500", "seed=8")),
     ("functional", ("d=3", "lambda=0.3", "samples=300", "horizon=128",
                     "seed=6")),
     ("critscan", ("d=2", "L=5", "horizon=6.0", "reps_per_probe=150",
                   "tol=0.1", "check_box=false", "seed=1")),
 )
+
+
+def test_criterion_11_covers_every_subcommand():
+    # a subcommand criterion 11 never runs would go unchecked
+    assert {name for name, _ in SMALL_RUNS} | {"report"} == set(cli._HANDLERS)
 
 
 def _rerun_from_manifest(name, sets, out_a, out_b):
@@ -306,14 +312,16 @@ def _rerun_from_manifest(name, sets, out_a, out_b):
 
 def test_criterion_11_manifest_reruns(tmp_path, capsys):
     diffs = []
-    for name, sets in SMALL_RUNS:
-        diffs += _rerun_from_manifest(name, sets,
-                                      str(tmp_path / name / "a"),
-                                      str(tmp_path / name / "b"))
-    src = str(tmp_path / "walks" / "a")
+    outs = {}
+    for i, (name, sets) in enumerate(SMALL_RUNS):  # moments runs twice
+        outs[name] = tmp_path / f"{i}-{name}"
+        diffs += _rerun_from_manifest(name, sets, str(outs[name] / "a"),
+                                      str(outs[name] / "b"))
+    src = str(outs["walks"] / "a")
     diffs += _rerun_from_manifest("report", (f"dirs={src}",),
                                   str(tmp_path / "report" / "a"),
                                   str(tmp_path / "report" / "b"))
     _verdict(capsys, 11, not diffs,
-             "10 subcommands re-run from their manifests byte-identically"
+             f"{len(cli._HANDLERS)} subcommands re-run from their manifests "
+             "byte-identically"
              if not diffs else "differing artifacts: " + ", ".join(diffs))

@@ -102,21 +102,29 @@ def test_moments_cli_labels_its_route(tmp_path, walk_samples, method):
     assert rc == 0
     _, header, rows = read_csv(os.path.join(out, "moments.csv"))
     assert header == ["d", "n", "lambda", "dist_id", "expected_count_exact",
-                      "ratio", "ratio_se", "survival_lb", "method"]
+                      "ratio", "ratio_se", "survival_lb", "method", "numerator",
+                      "denominator"]
     assert [r[8] for r in rows] == [method, method]
     if method == "exact":
         assert all(float(r[6]) == 0.0 for r in rows)
 
 
-def test_ratio_cli_exact_route(tmp_path):
-    rc, out = _run(tmp_path, "ratio", "d=2", "n=2", "lambda=1.0")
-    assert rc == 0
-    with open(os.path.join(out, "ratio.json")) as fh:
-        payload = json.load(fh)
-    assert payload["method"] == "exact"
-    assert payload["ratio"] >= 1.0
-    assert payload["ratio_se"] == 0.0
-    assert os.path.exists(os.path.join(out, "ratio.csv"))
+def test_moments_cli_exact_ratio_columns(tmp_path):
+    rows = {}
+    for bound in ("false", "true"):
+        rc, out = _run(tmp_path, "moments", "d=2", "n=2", "lambda=1.0",
+                       "walk_samples=0", f"use_bound={bound}",
+                       out=str(tmp_path / bound))
+        assert rc == 0
+        _, header, (row,) = read_csv(os.path.join(out, "moments.csv"))
+        rows[bound] = dict(zip(header, row))
+    exact = rows["false"]
+    assert exact["method"] == "exact"
+    ratio, num, den = (float(exact[k]) for k in ("ratio", "numerator", "denominator"))
+    assert ratio >= 1.0 and ratio == num / den
+    assert float(exact["ratio_se"]) == 0.0
+    # the split bound can only raise the second moment
+    assert float(rows["true"]["ratio"]) >= ratio
 
 
 _RATIO_LAWS = (
@@ -128,13 +136,15 @@ _RATIO_LAWS = (
 
 def _exact_ratio_fields(out, law, d, n, lam, bound):
     """(ratio, ratio_se, numerator, denominator, survival_lb) of one exact run."""
-    rc, out = _run(None, "ratio", f"d={d}", f"n={n}", f"lambda={lam}",
-                   f"use_bound={str(bound).lower()}", *law, out=out)
+    rc, out = _run(None, "moments", f"d={d}", f"n={n}", f"lambda={lam}",
+                   "walk_samples=0", f"use_bound={str(bound).lower()}", *law,
+                   out=out)
     assert rc == 0
-    with open(os.path.join(out, "ratio.json")) as fh:
-        payload = json.load(fh)
-    return tuple(payload[k] for k in ("ratio", "ratio_se", "numerator",
-                                      "denominator", "survival_lb"))
+    _, header, (row,) = read_csv(os.path.join(out, "moments.csv"))
+    # dist_id may hold commas, so the fields are matched from the row's end
+    fields = dict(zip(reversed(header), reversed(row)))
+    return tuple(float(fields[k]) for k in ("ratio", "ratio_se", "numerator",
+                                            "denominator", "survival_lb"))
 
 
 def test_exact_ratio_fields_golden(tmp_path):
@@ -206,16 +216,20 @@ def test_functional_cli_overflowing_se_is_strict_json(tmp_path):
 
 def test_functional_cli_overflowing_value_is_strict_json(tmp_path):
     # longer still, some integrands overflow: the mean, its m-sum and a
-    # ratio of m-sums are then not finite, and each is written as null
-    rc, out = _run(tmp_path, "functional", "d=2", "lambda=0.05", "samples=50",
-                   "horizon=15000", extra=("--seed", "2"))
-    assert rc == 0
-    with open(os.path.join(out, "functional.json")) as fh:
-        payload = json.loads(fh.read(), parse_constant=_reject_constant)
-    assert payload["value"] is None and payload["se"] is None
-    assert any(v is None for _, v in payload["m_sums"])
-    assert any(v is None for _, v in payload["m_sum_ratios"])
-    assert all(v is None or v >= 0.0 for _, v in payload["m_sums"])
+    # ratio of m-sums are then not finite, and each is written as null; at
+    # 30000 steps a denominator underflows to 0 as well, and its integrand
+    # is the IEEE quotient inf
+    for horizon, seed in (("15000", "2"), ("30000", "1")):
+        rc, out = _run(tmp_path, "functional", "d=2", "lambda=0.05", "samples=50",
+                       f"horizon={horizon}", extra=("--seed", seed),
+                       out=str(tmp_path / horizon))
+        assert rc == 0
+        with open(os.path.join(out, "functional.json")) as fh:
+            payload = json.loads(fh.read(), parse_constant=_reject_constant)
+        assert payload["value"] is None and payload["se"] is None
+        assert any(v is None for _, v in payload["m_sums"])
+        assert any(v is None for _, v in payload["m_sum_ratios"])
+        assert all(v is None or v >= 0.0 for _, v in payload["m_sums"])
 
 
 def test_write_json_refuses_non_finite_floats(tmp_path):
@@ -250,15 +264,16 @@ def test_critscan_cli(tmp_path):
 
 def test_report_cli_aggregates_runs(tmp_path):
     _, out_a = _run(tmp_path, "walks", "d=2", "horizon=50", "samples=200")
-    _, out_b = _run(tmp_path, "ratio", "d=2", "n=1", "lambda=1.0")
+    _, out_b = _run(tmp_path, "moments", "d=2", "n=1", "lambda=1.0",
+                    "walk_samples=0")
     rc, out = _run(tmp_path, "report", f"dirs={out_a},{out_b}")
     assert rc == 0
     with open(os.path.join(out, "report.json")) as fh:
         payload = json.load(fh)
-    assert [e["subcommand"] for e in payload["runs"]] == ["walks", "ratio"]
+    assert [e["subcommand"] for e in payload["runs"]] == ["walks", "moments"]
     with open(os.path.join(out, "report.md")) as fh:
         text = fh.read()
-    assert "walks" in text and "ratio" in text
+    assert "walks" in text and "moments" in text
 
 
 @pytest.mark.parametrize("where", ["list", "no-hash", "no-outputs", "int-hash",
@@ -313,7 +328,7 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 
 
 def test_missing_required_exits_2(tmp_path, capsys):
-    rc, _ = _run(tmp_path, "ratio", "d=2", "n=1")
+    rc, _ = _run(tmp_path, "moments", "d=2", "n=1")
     assert rc == 2
     assert "lambda" in capsys.readouterr().err
 

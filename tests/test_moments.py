@@ -10,9 +10,8 @@ from _oracles import (PathPercolation, count_paths, pair_factor,
                       path_percolation, sample_path_percolation)
 from orientedcp import lattice, walks
 from orientedcp.lattice import BoxSpec
-from orientedcp.moments import (TransferOperator, count_paths_mc,
-                                edge_pass_probability, expected_path_count,
-                                pair_chain_expectation,
+from orientedcp.moments import (count_paths_mc, edge_pass_probability,
+                                expected_path_count, pair_chain_expectation,
                                 path_count_moment_ratio,
                                 shared_source_pass_probability,
                                 survival_lower_bound)
@@ -99,11 +98,12 @@ def _chain_brute(dist, lam, n):
 
 
 def test_chain_expectation_closed_form_constant():
+    # at d = 1 the path count is the chain expectation itself
     for lam in (0.3, 1.0, 2.5):
-        op = TransferOperator(CONST, lam)
         g = lam / (1.0 + lam)
         for n in range(11):
-            assert op.chain_expectation(n) == pytest.approx(g ** n, abs=1e-12)
+            assert expected_path_count(CONST, 1, lam, n) == pytest.approx(
+                g ** n, abs=1e-12)
 
 
 def test_chain_expectation_two_point_one_step():
@@ -116,9 +116,8 @@ def test_chain_expectation_two_point_one_step():
 def test_chain_expectation_vs_nested_sum():
     dist = WeightDistribution.from_table((0.5, 1.0, 2.0), (0.2, 0.5, 0.3))
     for lam in (0.4, 1.3):
-        op = TransferOperator(dist, lam)
         for n in range(5):
-            assert op.chain_expectation(n) == pytest.approx(
+            assert expected_path_count(dist, 1, lam, n) == pytest.approx(
                 _chain_brute(dist, lam, n), abs=1e-12)
 
 
@@ -233,11 +232,10 @@ def test_count_paths_mc_determinism():
 def test_pair_chain_identical_walks_reduce_to_chain():
     dist = WeightDistribution.from_table((0.5, 1.5), (0.4, 0.6))
     for lam in (0.7, 1.4):
-        op = TransferOperator(dist, lam)
         for n in range(1, 5):
             pat = (True,) * (n + 1)
             assert pair_chain_expectation(pat, dist, lam) == pytest.approx(
-                op.chain_expectation(n), abs=1e-12)
+                expected_path_count(dist, 1, lam, n), abs=1e-12)
 
 
 def test_pair_chain_split_and_remeet_fixture():

@@ -117,6 +117,23 @@ def test_integrand_fixtures():
     assert _integrand(half, 1.0, 0, 1, 0) == pytest.approx(want)
 
 
+def test_integrand_is_the_ieee_quotient_once_its_denominator_underflows():
+    # 0.05 ** 399 underflows to 0: the weight is inf, where Python would raise
+    assert _integrand(CONST, 0.05, 1, 0, 400) == math.inf
+    # with a small weight bound the numerator underflows too: 0 / 0 is nan
+    assert math.isnan(_integrand(WeightDistribution.constant(0.5), 0.05, 200, 0, 600))
+
+
+def test_functional_overflowing_spread_warns_nothing():
+    # the integrands' spread overflows at this low rate and long horizon:
+    # se is None and numpy is not asked to warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = collision_functional(CONST, 2, 0.05, samples=50, horizon=3000, seed=1)
+    assert est.se is None
+    assert math.isfinite(est.value) and est.value > 0.0
+
+
 def test_meet_probability_tau1_matches_exact():
     for d in (2, 3):
         est = meet_probability(d, horizon=40, samples=20_000, seed=[50, d])
