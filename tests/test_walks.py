@@ -232,6 +232,20 @@ def test_walk_estimators_golden_digest():
         "1379c5e13f2b8a49cc9d9f977ded69b313c64f0225d461e3284eccfddecdc43b"
 
 
+def test_walk_functional_rows_golden_digest():
+    # The collision_functional rows of the walk-estimator digest on their
+    # own: the functional draws two step indices per pair and step, so any
+    # change to how the difference walk is stepped must leave these fixed.
+    law = WeightDistribution.two_point(0.5)
+    rows = []
+    for d in (3, 4, 6, 10):
+        f = collision_functional(law, d, 0.3, 500, 400, seed=[d, 1])
+        rows.append((float(f.value), float(f.se), float(f.censored_fraction),
+                     f.m_sums, f.diverging))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "f5bcae396cdd29c614867e85dcbc1dd19674fb6cefc8142002167c70aa40628f"
+
+
 def test_collision_functional_golden_digest():
     # Fixed outputs of the functional under both conventions, on a short
     # horizon where many records are censored and on a longer one, for a
