@@ -153,11 +153,13 @@ def _create(path: str):
 
 
 def write_csv(path: str, header, rows, digest: str) -> None:
+    import csv  # on first use, so start-up imports what it did before
+
     with _create(path) as fh:
         fh.write(f"# manifest_hash={digest}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        out = csv.writer(fh, lineterminator="\n")  # quotes fields with commas
+        out.writerow(header)
+        out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_json(path: str, obj) -> None:

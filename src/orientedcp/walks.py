@@ -9,49 +9,88 @@ t, the number of isolated touches sk, and the together-steps sl, the
 episodes' summed lengths; a closed-form integrand turns them into the
 record's weight in the pair-moment bound.
 
-All estimators here run on the difference walk: only the coordinate-wise
-difference of the two positions is tracked, with an incrementally updated
-l1 norm, so one step costs a handful of vectorized operations regardless of
-dimension.  A batch of pairs keeps its differences in one flat int32 array,
-d entries per pair, addressed by per-pair offsets; a step gathers and
-scatters through those offsets instead of two-dimensional fancy indexing.
+All estimators here run on the difference walk, the coordinate-wise
+difference of the two positions; the walks share a vertex exactly when it
+is zero.  A step is one code i*d + j: the first walk steps along axis i and
+the second along axis j, so the difference gains +1 at i and -1 at j.
+
+The difference is packed into a few int64 lanes.  Its coordinates sum to
+zero, so coordinate d-1 is minus the sum of the others and only coordinates
+0..d-2 are stored, as balanced digits in base b = 2*horizon + 1, as many
+digits per lane as fit with b**k <= 2**62.  After s <= horizon steps no
+coordinate exceeds s in absolute value, so every digit lies in
+[-horizon, horizon], no lane exceeds (b**k - 1) / 2 < 2**61 in absolute
+value, and each lane is the exact integer whose balanced digits are those
+coordinates: nothing overflows, and the difference is zero exactly when
+every lane is zero.  A (lanes, d*d) table holds each lane's increment for
+each step code, so a block of k steps for n pairs is one gather and one
+running sum along the steps per lane, and a meeting is a cell where every
+lane is zero.  Blocks hold at most 2**16 cells, laid out step-major.
+
+meet_probability draws a block's step codes in one call.
+collision_functional keeps its two draws per step, axis i then axis j for
+every pair, because a new stream would re-roll its heavy-tailed estimate:
+the integrand has infinite variance at the rates it is run at.
+
+The cost grows with the number of lanes, about (d-1) / k: every caller runs
+d <= 12, at most 3 lanes at horizon 10 000.  At that horizon, with 1000
+pairs, meet_probability took 0.16 s at d = 12 (3 lanes), 0.34 s at d = 40
+(10 lanes) and 0.75 s at d = 80 (20 lanes) on a 2-core x86 host, where the
+former per-coordinate step, whose cost does not grow with d, took 0.45 s.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .weights import WeightDistribution, rng_from
 
+_BLOCK_CELLS = 1 << 16
+_LOG_MAX = math.log(sys.float_info.max)
 
-def _advance(rng, diff: np.ndarray, l1: np.ndarray, base: np.ndarray, d: int) -> None:
-    """One synchronous step of the difference walk, l1 updated in place.
 
-    diff is flat: pair r owns the d entries diff[base[r]:base[r] + d].  The
-    first walk adds +1 at a uniform coordinate, the second subtracts 1 at
-    an independent one; each half-step changes l1 by +1 or -1 according to
-    the sign of the touched coordinate, so no full-norm rescan is needed.
+def _step_table(d: int, horizon: int) -> np.ndarray:
+    """(lanes, d*d) int64: each lane's increment for each step code.
+
+    Coordinate c < d-1 is digit c % k of lane c // k, with k digits of base
+    2*horizon + 1 per lane; coordinate d-1 has no digit.
     """
-    n = len(base)
-    i = rng.integers(0, d, size=n, dtype=np.int16)
-    j = rng.integers(0, d, size=n, dtype=np.int16)
-    at = base + i
-    vi = diff[at]
-    diff[at] = vi + 1
-    up = vi >= 0
-    at = base + j
-    vj = diff[at]
-    diff[at] = vj - 1
-    down = vj <= 0
-    # l1 += (2 * up - 1) + (2 * down - 1), without integer temporaries
-    l1 += up
-    l1 += up
-    l1 += down
-    l1 += down
-    l1 -= 2
+    base = 2 * horizon + 1
+    k = 1
+    while base ** (k + 1) <= 1 << 62:
+        k += 1
+    weight = np.zeros((-(-(d - 1) // k), d), dtype=np.int64)
+    for c in range(d - 1):
+        weight[c // k, c] = base ** (c % k)
+    return (weight[:, :, None] - weight[:, None, :]).reshape(len(weight), d * d)
+
+
+def _block_meetings(table: np.ndarray, state: np.ndarray,
+                    codes: np.ndarray) -> np.ndarray:
+    """Flat step-major indices of the cells of a (k, n) block of step codes
+    where the difference is zero; state, (lanes, n), is advanced past it.
+
+    Lane 0 holds the most digits, so its zeros are the few candidates that
+    the other lanes then check.
+    """
+    codes = codes.astype(np.intp, copy=False)  # gathers by intp are the fast ones
+    hits = None
+    for lane, row in enumerate(table):
+        inc = row[codes]
+        inc[0] += state[lane]
+        for t in range(1, len(inc)):
+            inc[t] += inc[t - 1]
+        state[lane] = inc[-1]
+        if hits is None:
+            zero = inc == 0
+            hits = np.flatnonzero(zero) if zero.any() else np.empty(0, dtype=np.intp)
+        elif hits.size:
+            hits = hits[inc.ravel()[hits] == 0]
+    return hits
 
 
 @dataclass(frozen=True)
@@ -74,38 +113,32 @@ def meet_probability(d: int, horizon: int, samples: int, seed=0) -> MeetEstimate
 
     tau = first positive step count with equal positions.  Step 1 is
     reported separately (its probability is exactly 1/d); q_hat estimates
-    P(2 <= tau <= horizon).  Rows are retired at their first meet and the
-    working set compacted when enough of them have retired; stepping stops
-    once none is left.
+    P(2 <= tau <= horizon).  Pairs are stepped a block at a time and
+    retired after the block of their first meet; stepping stops once none
+    is left.
     """
     if d < 2:
         raise ValueError("d must be >= 2; in one dimension the walks never separate")
     if horizon < 1 or samples < 1:
         raise ValueError("horizon and samples must be >= 1")
     rng = rng_from(seed)
-    diff = np.zeros(samples * d, dtype=np.int32)
-    l1 = np.zeros(samples, dtype=np.int64)
-    done = np.zeros(samples, dtype=bool)
-    base = np.arange(samples) * d
+    table = _step_table(d, horizon)
+    state = np.zeros((len(table), samples), dtype=np.int64)
     count1 = count2 = 0
-    for step in range(1, horizon + 1):
-        _advance(rng, diff, l1, base, d)
-        newly = (l1 == 0) & ~done
-        hits = int(np.count_nonzero(newly))
-        if hits:
-            if step == 1:
-                count1 += hits
-            else:
-                count2 += hits
-            done |= newly
-        if step % 256 == 0 and done.mean() > 0.1:
-            keep = ~done
-            diff = diff.reshape(-1, d)[keep].ravel()
-            l1 = l1[keep]
-            if not l1.size:
-                break
-            done = np.zeros(len(l1), dtype=bool)
-            base = np.arange(len(l1)) * d
+    step = 0
+    while step < horizon and state.shape[1]:
+        n = state.shape[1]
+        k = min(horizon - step, max(1, _BLOCK_CELLS // n))
+        codes = rng.integers(0, d * d, size=(k, n),
+                             dtype=np.int16 if d * d <= 1 << 15 else np.int32)
+        hits = _block_meetings(table, state, codes)
+        if hits.size:
+            rows, first = np.unique(hits % n, return_index=True)
+            at_one = int(np.count_nonzero(hits[first] < n)) if step == 0 else 0
+            count1 += at_one
+            count2 += len(rows) - at_one
+            state = np.delete(state, rows, axis=1)
+        step += k
     q = count2 / samples
     return MeetEstimate(d=d, horizon=horizon, samples=samples,
                         tau1_fraction=count1 / samples, q_hat=q,
@@ -174,6 +207,11 @@ def _record_counts(rows: np.ndarray, steps: np.ndarray, horizon: int):
     return t, sk, sl, steps[last] == horizon
 
 
+def _exp(x: float) -> float:
+    """e**x rounded as IEEE rounds it: inf past the float range."""
+    return math.inf if x > _LOG_MAX else math.exp(x)
+
+
 def _integrand(dist: WeightDistribution, lam: float, t: int, sk: int, sl: int) -> float:
     """Closed-form weight of a record with t episodes over sl together-steps
     and sk isolated touches.
@@ -184,9 +222,14 @@ def _integrand(dist: WeightDistribution, lam: float, t: int, sk: int, sl: int) -
     """
     big_m = dist.bound
     m2 = dist.second_moment
-    num = 2.0 ** (t + sk) * big_m ** (6 * t + 4 * sk) \
-        * (1.0 + lam * big_m * big_m) ** (2 * sl + 2 * sk)
-    den = lam ** (sl - t) * m2 ** (sl + 2 * t + 2 * sk)
+    try:
+        num = 2.0 ** (t + sk) * big_m ** (6 * t + 4 * sk) \
+            * (1.0 + lam * big_m * big_m) ** (2 * sl + 2 * sk)
+        den = lam ** (sl - t) * m2 ** (sl + 2 * t + 2 * sk)
+    except OverflowError:  # where IEEE gives inf: round num and den from logs
+        num = _exp(math.log(2.0) * (t + sk) + math.log(big_m) * (6 * t + 4 * sk)
+                   + math.log1p(lam * big_m * big_m) * (2 * sl + 2 * sk))
+        den = _exp(math.log(lam) * (sl - t) + math.log(m2) * (sl + 2 * t + 2 * sk))
     if den == 0.0:  # underflowed: IEEE gives inf, or nan for 0 / 0; Python raises
         return math.inf if num else math.nan
     return num / den
@@ -219,17 +262,22 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
     if d == 1:
         return censored_all
     rng = rng_from(seed)
-    diff = np.zeros(samples * d, dtype=np.int32)
-    l1 = np.zeros(samples, dtype=np.int64)
-    base = np.arange(samples) * d
+    table = _step_table(d, horizon)
+    state = np.zeros((len(table), samples), dtype=np.int64)
     met_rows = [np.arange(samples, dtype=np.int32)]    # the origin touch
     met_steps = [np.zeros(samples, dtype=np.int32)]
-    for step in range(1, horizon + 1):
-        _advance(rng, diff, l1, base, d)
-        hits = np.flatnonzero(l1 == 0)
+    k = max(1, _BLOCK_CELLS // samples)
+    codes = np.empty((k, samples), dtype=np.intp)
+    for step in range(0, horizon, k):
+        block = codes[:horizon - step]
+        for row in block:  # per step, axis i then axis j for every pair
+            np.multiply(rng.integers(0, d, size=samples, dtype=np.int16), d,
+                        out=row, dtype=np.intp)
+            row += rng.integers(0, d, size=samples, dtype=np.int16)
+        hits = _block_meetings(table, state, block)
         if hits.size:
-            met_rows.append(hits.astype(np.int32))
-            met_steps.append(np.full(hits.size, step, dtype=np.int32))
+            met_rows.append((hits % samples).astype(np.int32))
+            met_steps.append((hits // samples + step + 1).astype(np.int32))
     t, sk, sl, censored = _record_counts(np.concatenate(met_rows),
                                          np.concatenate(met_steps), horizon)
     keep = ~censored

@@ -4,14 +4,16 @@ The neighbour lists of one vertex and the inverse of its index, the
 per-vertex transition rates of a configuration, a replay of a fixed event
 table, the monotone arrow thinning of an event table, the per-draw
 open-path count on an explicit full-box clock structure, the one-step joint
-pass probability of a walk pair, and the next-reaction event loop that the
-uniformized ``kinetics.run`` replaced.  The package does not use them; the tests
+pass probability of a walk pair, the next-reaction event loop that the
+uniformized ``kinetics.run`` replaced, and the per-coordinate difference-walk
+step that the packed block kernel of ``walks`` replaced.  The package does not use them; the tests
 cross-check ``orientedcp`` against them, so they stay apart from the code
 they check.  ``read_csv`` reads back the CSV files the CLI writes.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
 from array import array
@@ -36,8 +38,7 @@ def read_csv(path: str):
         if not first.startswith("# manifest_hash="):
             raise ValueError(f"{path}: missing manifest hash comment")
         digest = first.split("=", 1)[1]
-        header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        header, *rows = csv.reader(fh)
     return digest, header, rows
 
 
@@ -430,3 +431,43 @@ def run_next_reaction(cfg: Configuration, fld: WeightField, lam: float,
                      extinction_time=float(extinction_time),
                      occupancy_trace=trace,
                      probe_trace=probe_trace)
+
+
+def _advance(diff: np.ndarray, l1: np.ndarray, base: np.ndarray, i, j) -> None:
+    """One synchronous step of the difference walk, l1 updated in place.
+
+    diff is flat: pair r owns the d entries diff[base[r]:base[r] + d].  The
+    first walk adds +1 at coordinate i[r], the second subtracts 1 at j[r];
+    each half-step changes l1 by +1 or -1 according to the sign of the
+    touched coordinate, so no full-norm rescan is needed.
+    """
+    at = base + i
+    vi = diff[at]
+    diff[at] = vi + 1
+    up = vi >= 0
+    at = base + j
+    vj = diff[at]
+    diff[at] = vj - 1
+    down = vj <= 0
+    # l1 += (2 * up - 1) + (2 * down - 1), without integer temporaries
+    l1 += up
+    l1 += up
+    l1 += down
+    l1 += down
+    l1 -= 2
+
+
+def difference_walk_meetings(codes: np.ndarray, d: int):
+    """(rows, steps) of every zero of the difference walk driven by the
+    (steps, n) step codes i*d + j, step-major, steps counted from 1."""
+    n = codes.shape[1]
+    diff = np.zeros(n * d, dtype=np.int64)
+    l1 = np.zeros(n, dtype=np.int64)
+    base = np.arange(n) * d
+    rows, steps = [], []
+    for step, code in enumerate(codes.astype(np.int64), start=1):
+        _advance(diff, l1, base, code // d, code % d)
+        hits = np.flatnonzero(l1 == 0)
+        rows.append(hits)
+        steps.append(np.full(hits.size, step))
+    return np.concatenate(rows), np.concatenate(steps)

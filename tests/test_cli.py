@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ from _oracles import read_csv
 from orientedcp import moments
 from orientedcp.cli import main
 from orientedcp.reporting import as_float, as_floats, write_json
+from orientedcp.weights import WeightDistribution
 
 
 def _run(tmp_path, name, *sets, out=None, extra=()):
@@ -231,6 +233,18 @@ def test_functional_cli_overflowing_value_is_strict_json(tmp_path):
         assert any(v is None for _, v in payload["m_sum_ratios"])
         assert all(v is None or v >= 0.0 for _, v in payload["m_sums"])
 
+
+def test_functional_cli_overflowing_power_is_strict_json(tmp_path):
+    # with M = 2 a power in the integrand passes the float range, where
+    # Python's float ** raises OverflowError; the integrand is then inf
+    rc, out = _run(tmp_path, "functional", "d=2", "lambda=0.5", "samples=50",
+                   "horizon=30000", "dist.kind=two_point", "dist.p=0.5",
+                   "dist.hi=2", "dist.lo=0.5", extra=("--seed", "1"))
+    assert rc == 0
+    with open(os.path.join(out, "functional.json")) as fh:
+        payload = json.loads(fh.read(), parse_constant=_reject_constant)
+    assert payload["value"] is None
+    assert any(v is None for _, v in payload["m_sums"])
 
 def test_write_json_refuses_non_finite_floats(tmp_path):
     # the refusal comes before the file or its directory is made
@@ -519,3 +533,50 @@ def test_jobs_give_byte_identical_artifacts(tmp_path, name, sets):
         with open(os.path.join(outs[0], art), "rb") as fa, \
                 open(os.path.join(outs[1], art), "rb") as fb:
             assert fa.read() == fb.read(), art
+
+
+_CSV_LAWS = (
+    ((), WeightDistribution.constant(1.0)),
+    (("dist.kind=two_point", "dist.p=0.5", "dist.hi=2", "dist.lo=0.5"),
+     WeightDistribution.two_point(0.5, 2.0, 0.5)),
+    (("dist.kind=table", "dist.values=0.5,1,2", "dist.probs=0.2,0.5,0.3"),
+     WeightDistribution.from_table([0.5, 1.0, 2.0], [0.2, 0.5, 0.3])),
+)
+
+_CSV_RUNS = (
+    ("simulate", ("lambda=0.4", "box.L=3", "horizon=2.0", "reps=2"), "trace.csv"),
+    ("f-decay", ("box.d=2", "lambda=0.15", "reps=50", "times=0,1"), "fdecay.csv"),
+    ("duality", ("lambda=0.8", "box.L=3", "horizon=1.0", "reps=20"), "duality.csv"),
+    ("zeta-check", ("lambda=1.0", "box.L=3", "horizon=1.0", "reps=20"), "zeta.csv"),
+    ("moments", ("d=2", "n=1,2", "lambda=0.5", "walk_samples=200"), "moments.csv"),
+    ("critscan", ("d=2", "L=4", "horizon=4.0", "reps_per_probe=60", "tol=0.2",
+                  "check_box=false"), "probes.csv"),
+)
+
+
+def _csv_records(path):
+    with open(path, newline="") as fh:
+        assert fh.readline().startswith("# manifest_hash=")
+        return list(csv.DictReader(fh))
+
+
+def test_csv_rows_match_their_header_for_every_law(tmp_path):
+    # a law label holds commas; each field must still land in its column
+    for i, (sets, law) in enumerate(_CSV_LAWS):
+        for name, args, fname in _CSV_RUNS:
+            out = str(tmp_path / f"{name}{i}")
+            assert _run(None, name, *args, *sets, out=out)[0] == 0
+            path = os.path.join(out, fname)
+            records = _csv_records(path)
+            assert records
+            for rec in records:
+                assert None not in rec and None not in rec.values(), (path, rec)
+                if "dist_id" in rec:
+                    assert rec["dist_id"] == law.label
+            if not sets:    # no commas to quote: the plain comma-joined bytes
+                with open(path) as fh:
+                    assert '"' not in fh.read()
+    out = str(tmp_path / "walks")
+    assert _run(None, "walks", "d=2,3", "horizon=50", "samples=100", out=out)[0] == 0
+    for rec in _csv_records(os.path.join(out, "walks.csv")):
+        assert None not in rec and None not in rec.values()

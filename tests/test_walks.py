@@ -1,16 +1,20 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import difference_walk_meetings
 from orientedcp.moments import _patterns_between, _walk_positions
-from orientedcp.walks import (_integrand, _record_counts, collision_functional,
+from orientedcp.walks import (_block_meetings, _integrand, _record_counts,
+                              _step_table, collision_functional,
                               meet_probability)
-from orientedcp.weights import WeightDistribution
+from orientedcp.weights import WeightDistribution, rng_from
 
 CONST = WeightDistribution.constant(1.0)
 
@@ -152,6 +156,22 @@ def test_meet_probability_decreases_in_d():
         assert a.q_hat > b.q_hat - 3.0 * (a.se + b.se)
 
 
+def test_meet_probability_counts_first_meetings_of_its_draws():
+    # horizon * samples below one block: all steps come from one draw, so
+    # the first meetings can be replayed on the l1 oracle
+    d, horizon, samples = 3, 50, 200
+    est = meet_probability(d, horizon, samples, seed=5)
+    codes = rng_from(5).integers(0, d * d, size=(horizon, samples), dtype=np.int16)
+    rows, steps = difference_walk_meetings(codes, d)
+    first = {}
+    for r, s in zip(rows.tolist(), steps.tolist()):
+        first.setdefault(r, s)
+    tau = list(first.values())
+    assert est.tau1_fraction == tau.count(1) / samples
+    assert est.q_hat == (len(tau) - tau.count(1)) / samples
+    assert est.censored_fraction == (samples - len(tau)) / samples
+
+
 def test_meet_probability_validation_and_determinism():
     with pytest.raises(ValueError):
         meet_probability(1, horizon=10, samples=10)
@@ -163,17 +183,17 @@ def test_meet_probability_validation_and_determinism():
 
 
 def test_meet_probability_stops_when_every_pair_has_met():
-    # at d=2 every row can meet before a compaction step, which used to leave
-    # an empty working set that warned "Mean of empty slice"
+    # at d=2 every row can meet well before the horizon, which once left an
+    # empty working set that warned "Mean of empty slice"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         one = meet_probability(2, 600, 1, seed=0)
         twenty = meet_probability(2, 600, 20, seed=2)
     assert (one.tau1_fraction, one.q_hat, one.se, one.censored_fraction) == \
-        (1.0, 0.0, 0.0, 0.0)
+        (0.0, 1.0, 0.0, 0.0)
     assert (twenty.tau1_fraction, twenty.q_hat, twenty.censored_fraction) == \
-        (0.45, 0.55, 0.0)
-    assert twenty.se == 0.11124297730643495
+        (0.5, 0.5, 0.0)
+    assert twenty.se == 0.11180339887498948
 
 
 def test_functional_se_is_none_below_two_records():
@@ -215,21 +235,17 @@ def test_functional_no_meet_baseline():
 
 
 def test_walk_estimators_golden_digest():
-    # Fixed outputs of the difference-walk estimators.  At 1200 samples and
-    # horizon 600, meet_probability compacts its working set at steps 256
-    # and 512, so the digest also pins the compaction.
-    law = WeightDistribution.two_point(0.5)
+    # Fixed outputs of meet_probability.  At 1200 samples the first block
+    # spans 54 steps and later ones lengthen as pairs retire, so the digest
+    # also pins the block schedule.
     rows = []
     for d in (3, 4, 6, 10):
         m = meet_probability(d, 600, 1200, seed=[d])
         rows.append((float(m.tau1_fraction), float(m.q_hat), float(m.se),
                      float(m.censored_fraction)))
-        f = collision_functional(law, d, 0.3, 500, 400, seed=[d, 1])
-        rows.append((float(f.value), float(f.se), float(f.censored_fraction),
-                     f.m_sums, f.diverging))
-    assert len(rows) == 8
+    assert len(rows) == 4
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
-        "1379c5e13f2b8a49cc9d9f977ded69b313c64f0225d461e3284eccfddecdc43b"
+        "4ef73ab1960d5db420e0504de37b8f603a5802c67269fa59da339c4c56969586"
 
 
 def test_walk_functional_rows_golden_digest():
@@ -263,3 +279,116 @@ def test_collision_functional_golden_digest():
     assert len(rows) == 16
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "cda03fda2338849d1c5a34b2171300a115049018f6bd5d78c9a502185a017820"
+
+
+def _kernel_meetings(codes, d, horizon, blocks):
+    """(rows, steps) of the block kernel fed the codes in the given blocks."""
+    table = _step_table(d, horizon)
+    n = codes.shape[1]
+    state = np.zeros((len(table), n), dtype=np.int64)
+    rows, steps, start = [], [], 0
+    for k in blocks:
+        hits = _block_meetings(table, state, codes[start:start + k])
+        rows.append(hits % n)
+        steps.append(hits // n + start + 1)
+        start += k
+    return np.concatenate(rows), np.concatenate(steps)
+
+
+def _digits_per_lane(horizon):
+    base, k = 2 * horizon + 1, 1
+    while base ** (k + 1) <= 1 << 62:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("d, horizon, lanes", [
+    (2, 100, 1), (3, 100, 1), (6, 10_000, 2), (10, 10_000, 3),
+    (16, 10_000, 4), (40, 100, 5), (40, 200, 6), (40, 300, 7), (200, 60, 25)])
+def test_block_kernel_meets_where_the_l1_oracle_does(d, horizon, lanes):
+    assert len(_step_table(d, horizon)) == lanes
+    rng = np.random.default_rng([d, horizon])
+    n, steps = 120, min(horizon, 300)
+    # half the pairs step on three axes only (d - 1, the coordinate with no
+    # digit, among them), so they keep meeting at every d
+    axes = np.array([0, d // 2, d - 1])
+    i = rng.integers(0, d, (steps, n))
+    j = rng.integers(0, d, (steps, n))
+    i[:, ::2] = axes[rng.integers(0, 3, (steps, n // 2))]
+    j[:, ::2] = axes[rng.integers(0, 3, (steps, n // 2))]
+    codes = (i * d + j).astype(np.int16 if d * d <= 1 << 15 else np.int32)
+    want_rows, want_steps = difference_walk_meetings(codes, d)
+    assert want_rows.size > n // 2
+    blocks = [1, 2, 37, 5, steps]    # carries state across uneven blocks
+    got_rows, got_steps = _kernel_meetings(codes, d, horizon, blocks)
+    assert got_rows.tolist() == want_rows.tolist()
+    assert got_steps.tolist() == want_steps.tolist()
+
+
+@pytest.mark.parametrize("d, horizon", [(3, 500), (16, 2000), (40, 300)])
+def test_block_kernel_extreme_digits_are_exact(d, horizon):
+    # the first walk always steps on the top digit of lane 0 and the second
+    # on its bottom digit: after `horizon` steps they hold +horizon and
+    # -horizon, the lane's widest values, with no false zero and no wrap
+    top = min(_digits_per_lane(horizon), d - 1) - 1
+    bottom = 0 if top else d - 1
+    code = top * d + bottom
+    codes = np.full((horizon, 3), code, dtype=np.int16)
+    table = _step_table(d, horizon)
+    state = np.zeros((len(table), 3), dtype=np.int64)
+    assert _block_meetings(table, state, codes).size == 0
+    base = 2 * horizon + 1
+    want = horizon * base ** top - (horizon if top else 0)
+    assert state[0].tolist() == [want] * 3 and not state[1:].any()
+    # out for half the horizon and back: one meeting, at the last step
+    half = horizon // 2
+    codes[half:2 * half] = bottom * d + top
+    state[:] = 0
+    hits = _block_meetings(table, state, codes[:2 * half])
+    assert (hits // 3).tolist() == [2 * half - 1] * 3
+    assert not state.any()
+
+
+def test_block_kernel_is_exact_next_to_the_lane_limit():
+    # horizon 2**30 - 1 gives base 2**31 - 1 and two digits per lane, the
+    # widest lanes any horizon gives; start two steps short of +-horizon
+    d, horizon = 5, (1 << 30) - 1
+    base = 2 * horizon + 1
+    assert _digits_per_lane(horizon) == 2
+    table = _step_table(d, horizon)
+    start = (horizon - 2) * base - (horizon - 2)    # digit 1 high, digit 0 low
+    state = np.array([[start], [-start]], dtype=np.int64)
+    codes = np.array([[1 * d + 0], [1 * d + 0]], dtype=np.int16)
+    assert _block_meetings(table, state, codes).size == 0
+    want = horizon * base - horizon
+    assert state[:, 0].tolist() == [want, -start]
+    assert want > 1 << 60
+
+
+def test_walk_block_temporaries_stay_small():
+    # the block temporaries are bounded by 2**16 cells per lane: the peak
+    # traced allocation of both estimators at the benchmark's sizes
+    for call in (lambda: meet_probability(10, 2000, 1000),
+                 lambda: collision_functional(CONST, 10, 0.15, 2000, horizon=2000)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+def test_integrand_overflow_is_the_ieee_quotient():
+    # Python's float ** raises OverflowError where IEEE gives inf
+    law = WeightDistribution.two_point(0.5, 2.0, 0.5)
+    assert _integrand(law, 0.5, 1, 0, 400) == math.inf
+    # finite integrands keep their bits
+    assert _integrand(law, 0.5, 0, 3, 200) == \
+        2.0 ** 3 * 2.0 ** 12 * 3.0 ** 406 / (0.5 ** 200 * 2.125 ** 206)
+    # a denominator past the range gives 0.0, both past it nan (the
+    # attribute pairs are not weight laws: no law reaches these corners)
+    assert _integrand(SimpleNamespace(bound=1.0, second_moment=1e10),
+                      1.0, 0, 1, 40) == 0.0
+    assert math.isnan(_integrand(SimpleNamespace(bound=1e10, second_moment=1e100),
+                                 1.0, 1, 0, 10))
