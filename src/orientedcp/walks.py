@@ -124,8 +124,7 @@ def meet_probability(d: int, horizon: int, samples: int, seed=0) -> MeetEstimate
     rng = rng_from(seed)
     table = _step_table(d, horizon)
     state = np.zeros((len(table), samples), dtype=np.int64)
-    count1 = count2 = 0
-    step = 0
+    met = met1 = step = 0
     while step < horizon and state.shape[1]:
         n = state.shape[1]
         k = min(horizon - step, max(1, _BLOCK_CELLS // n))
@@ -133,17 +132,17 @@ def meet_probability(d: int, horizon: int, samples: int, seed=0) -> MeetEstimate
                              dtype=np.int16 if d * d <= 1 << 15 else np.int32)
         hits = _block_meetings(table, state, codes)
         if hits.size:
-            rows, first = np.unique(hits % n, return_index=True)
-            at_one = int(np.count_nonzero(hits[first] < n)) if step == 0 else 0
-            count1 += at_one
-            count2 += len(rows) - at_one
+            if step == 0:
+                met1 = int(np.count_nonzero(hits < n))    # met at step 1
+            rows = np.unique(hits % n)
+            met += len(rows)
             state = np.delete(state, rows, axis=1)
         step += k
-    q = count2 / samples
+    q = (met - met1) / samples
     return MeetEstimate(d=d, horizon=horizon, samples=samples,
-                        tau1_fraction=count1 / samples, q_hat=q,
+                        tau1_fraction=met1 / samples, q_hat=q,
                         se=math.sqrt(q * (1.0 - q) / samples),
-                        censored_fraction=(samples - count1 - count2) / samples)
+                        censored_fraction=(samples - met) / samples)
 
 
 @dataclass(frozen=True)
