@@ -308,7 +308,9 @@ def _cmd_critscan(cfg, dist, out, jobs, digest):
                "settled"], probe_rows, digest)
     write_json(os.path.join(out, "critscan.json"), summaries)
     ref = 1.0 / dist.second_moment
-    svg = line_chart([{"label": "d * estimated critical rate",
+    # the bars are the bisection tolerance, not a statistical interval
+    svg = line_chart([{"label": "d * estimated critical rate, bars +/- d * tol "
+                                "(bisection tolerance)",
                        "x": xs, "y": ys, "yerr": yerr}],
                      title="critical-rate scan", x_label="d",
                      y_label="d * rate", y_reference=ref)

@@ -13,11 +13,18 @@ Both moments come in two independent flavours on purpose: exact transfer
 recursions and direct Monte Carlo on the sampled clock structure.  Tests and
 the acceptance suite compare them; neither is allowed to stand in for the
 other.
+
+The exact second moment is a sum over ordered pairs of n-step walks, and a
+pair enters only through its coincidence pattern: after which steps the two
+walks share a vertex.  The patterns come from the packed difference lanes
+of ``walks``: a running sum of lane increments along the steps, zero in
+every lane where the walks meet.  The exact route enumerates all d^(2n)
+pairs; the sampled route draws uniform pairs and evaluates each twice, as
+drawn and with the second walk's axes relabelled cyclically.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +32,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import BoxSpec
+from .walks import _step_table
 from .weights import WeightDistribution, rng_from
 
 
@@ -209,38 +217,43 @@ def pair_chain_expectation(pattern, dist: WeightDistribution, lam: float,
     return float(coin.sum() if coin is not None else apart.sum())
 
 
-def _walk_positions(steps: np.ndarray, d: int) -> np.ndarray:
-    """(W, n) axis choices -> (W, n, d) positions after each step."""
-    return np.cumsum(np.eye(d, dtype=np.int16)[steps], axis=1)
+def _patterns_between(steps_a: np.ndarray, steps_b: np.ndarray, d: int) -> np.ndarray:
+    """(W, n+1) coincidence rows of the walk pairs with (W, n) axis choices
+    steps_a and steps_b; column 0 is True.
 
-
-def _patterns_between(pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
-    """(W, n+1) coincidence rows for aligned walk arrays; column 0 is True."""
-    eq = (pos_a == pos_b).all(axis=-1)
-    lead = np.ones((eq.shape[0], 1), dtype=bool)
-    return np.concatenate([lead, eq], axis=1)
+    Pair w's step s is the code steps_a * d + steps_b of ``walks``, and
+    the lanes of ``walks._step_table(d, n)`` pack the difference of the two
+    positions into exact balanced base-(2n+1) digits, since no coordinate
+    of it exceeds n after n steps.  A running sum of each lane's
+    increments along the steps gives the lanes after every step, and the
+    walks coincide after step s exactly when every lane is zero there.
+    For d = 1 the table has no lanes and every column is True.
+    """
+    codes = np.ascontiguousarray((steps_a * d + steps_b).T)    # step-major
+    rows = np.ones((len(codes) + 1, codes.shape[1]), dtype=bool)
+    for lane in _step_table(d, len(codes)):
+        run = lane[codes]
+        for t in range(1, len(run)):
+            run[t] += run[t - 1]
+        rows[1:] &= run == 0
+    return rows.T
 
 
 def _pattern_values(rows: np.ndarray, dist: WeightDistribution, lam: float,
                     use_bound: bool) -> np.ndarray:
     """pair_chain_expectation of every coincidence row, one call per distinct row.
 
-    Rows are bit-packed into 64-bit words and sorted, so equal rows sit
-    next to each other; each run of equal rows is evaluated once and the
-    values are gathered back in row order.
+    Rows are bit-packed into 64-bit words and grouped by np.unique; each
+    group is evaluated once and the values are gathered back in row order.
+    One word sorts as an integer, longer rows as raw bytes.
     """
     packed = np.packbits(rows, axis=1)
     words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     words[:, :packed.shape[1]] = packed
-    words = words.view(np.uint64)
-    order = np.lexsort(words.T)
-    ranked = words[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty(len(rows), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
+    keys = words.view(np.uint64 if words.shape[1] == 8 else f"V{words.shape[1]}")
+    _, first, group = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     values = np.array([pair_chain_expectation(rows[r], dist, lam, use_bound=use_bound)
-                       for r in order[first]])
+                       for r in first])
     return values[group]
 
 
@@ -289,10 +302,11 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
             raise ValueError(
                 f"{n_pairs} walk pairs exceed exhaustive_limit={EXHAUSTIVE_LIMIT};"
                 " pass walk_samples for a sampled estimate")
-        steps = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int8)
-        pos = _walk_positions(steps, d)
-        rows = np.concatenate([_patterns_between(pos, pos[j][None, :, :])
-                               for j in range(len(steps))])
+        # every walk, its last step varying fastest; row j*N + i pairs
+        # walk i with walk j, and the total is summed in row order
+        steps = np.indices((d,) * n).reshape(n, -1).T
+        rows = _patterns_between(np.tile(steps, (len(steps), 1)),
+                                 np.repeat(steps, len(steps), axis=0), d)
         total = 0.0
         for v in _pattern_values(rows, dist, lam, use_bound).tolist():
             total += v
@@ -304,9 +318,8 @@ def path_count_moment_ratio(dist: WeightDistribution, d: int, lam: float, n: int
     rng = rng_from(seed)
     steps_a = rng.integers(0, d, size=(walk_samples, n))
     steps_b = rng.integers(0, d, size=(walk_samples, n))
-    pos_a = _walk_positions(steps_a, d)
-    rows_plain = _patterns_between(pos_a, _walk_positions(steps_b, d))
-    rows_turned = _patterns_between(pos_a, _walk_positions((steps_b + 1) % d, d))
+    rows_plain = _patterns_between(steps_a, steps_b, d)
+    rows_turned = _patterns_between(steps_a, (steps_b + 1) % d, d)
     per = _pattern_values(np.concatenate([rows_plain, rows_turned]), dist, lam, use_bound)
     vals = 0.5 * (per[:walk_samples] + per[walk_samples:])
     scale = float(d) ** (2 * n)

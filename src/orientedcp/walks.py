@@ -29,8 +29,13 @@ lane is zero.  Blocks hold at most 2**16 cells, laid out step-major.
 
 meet_probability draws a block's step codes in one call.
 collision_functional keeps its two draws per step, axis i then axis j for
-every pair, because a new stream would re-roll its heavy-tailed estimate:
-the integrand has infinite variance at the rates it is run at.
+every pair, writes them into one (k, 2, n) block and forms the block's step
+codes in one pass.  Its stream stays frozen because a new one would re-roll
+its heavy-tailed estimate: the integrand has infinite variance at the rates
+it is run at, so one rare record with many episodes can decide its m-sums
+and whether they read as diverging.
+
+moments reads the same table at horizon n for its coincidence rows.
 
 The cost grows with the number of lanes, about (d-1) / k: every caller runs
 d <= 12, at most 3 lanes at horizon 10 000.  At that horizon, with 1000
@@ -266,14 +271,15 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
     met_rows = [np.arange(samples, dtype=np.int32)]    # the origin touch
     met_steps = [np.zeros(samples, dtype=np.int32)]
     k = max(1, _BLOCK_CELLS // samples)
-    codes = np.empty((k, samples), dtype=np.intp)
+    axes = np.empty((k, 2, samples), dtype=np.int16)
     for step in range(0, horizon, k):
-        block = codes[:horizon - step]
-        for row in block:  # per step, axis i then axis j for every pair
-            np.multiply(rng.integers(0, d, size=samples, dtype=np.int16), d,
-                        out=row, dtype=np.intp)
-            row += rng.integers(0, d, size=samples, dtype=np.int16)
-        hits = _block_meetings(table, state, block)
+        block = axes[:horizon - step]
+        for pair in block:  # per step, axis i then axis j for every pair
+            pair[0] = rng.integers(0, d, size=samples, dtype=np.int16)
+            pair[1] = rng.integers(0, d, size=samples, dtype=np.int16)
+        codes = np.multiply(block[:, 0], d, dtype=np.intp)
+        codes += block[:, 1]
+        hits = _block_meetings(table, state, codes)
         if hits.size:
             met_rows.append((hits % samples).astype(np.int32))
             met_steps.append((hits // samples + step + 1).astype(np.int32))

@@ -5,10 +5,12 @@ per-vertex transition rates of a configuration, a replay of a fixed event
 table, the monotone arrow thinning of an event table, the per-draw
 open-path count on an explicit full-box clock structure, the one-step joint
 pass probability of a walk pair, the next-reaction event loop that the
-uniformized ``kinetics.run`` replaced, and the per-coordinate difference-walk
-step that the packed block kernel of ``walks`` replaced.  The package does not use them; the tests
-cross-check ``orientedcp`` against them, so they stay apart from the code
-they check.  ``read_csv`` reads back the CSV files the CLI writes.
+uniformized ``kinetics.run`` replaced, the per-coordinate difference-walk
+step that the packed block kernel of ``walks`` replaced, and the one-hot
+walk positions that the packed coincidence rows of ``moments`` replaced.
+The package does not use them; the tests cross-check ``orientedcp`` against
+them, so they stay apart from the code they check.  ``read_csv`` reads back
+the CSV files the CLI writes.
 """
 
 from __future__ import annotations
@@ -471,3 +473,15 @@ def difference_walk_meetings(codes: np.ndarray, d: int):
         rows.append(hits)
         steps.append(np.full(hits.size, step))
     return np.concatenate(rows), np.concatenate(steps)
+
+
+def walk_positions(steps: np.ndarray, d: int) -> np.ndarray:
+    """(W, n) axis choices -> (W, n, d) positions after each step."""
+    return np.cumsum(np.eye(d, dtype=np.int16)[steps], axis=1)
+
+
+def coincidence_rows(steps_a: np.ndarray, steps_b: np.ndarray, d: int) -> np.ndarray:
+    """(W, n+1) rows: do walks a and b share a vertex after each step count,
+    step 0 included, read off their one-hot positions."""
+    eq = (walk_positions(steps_a, d) == walk_positions(steps_b, d)).all(axis=-1)
+    return np.concatenate([np.ones((len(eq), 1), dtype=bool), eq], axis=1)

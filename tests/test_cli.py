@@ -274,6 +274,8 @@ def test_critscan_cli(tmp_path):
     with open(os.path.join(out, "critscan.svg")) as fh:
         svg = fh.read()
     assert svg.startswith("<svg") and "</svg>" in svg
+    # the error bars are d * tol, and the series label names them so
+    assert ">d * estimated critical rate, bars +/- d * tol (bisection tolerance)<" in svg
 
 
 def test_report_cli_aggregates_runs(tmp_path):

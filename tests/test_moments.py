@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from _oracles import (PathPercolation, count_paths, pair_factor,
-                      path_percolation, sample_path_percolation)
+from _oracles import (PathPercolation, coincidence_rows, count_paths,
+                      pair_factor, path_percolation, sample_path_percolation)
 from orientedcp import lattice, walks
 from orientedcp.lattice import BoxSpec
-from orientedcp.moments import (count_paths_mc, edge_pass_probability,
+from orientedcp.moments import (_pattern_values, _patterns_between,
+                                count_paths_mc, edge_pass_probability,
                                 expected_path_count, pair_chain_expectation,
                                 path_count_moment_ratio,
                                 shared_source_pass_probability,
@@ -253,6 +254,77 @@ def test_pair_chain_rejects_bad_patterns():
         pair_chain_expectation((False, True), CONST, 1.0)
     with pytest.raises(ValueError):
         pair_chain_expectation((), CONST, 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 40, 200])
+def test_packed_patterns_match_the_one_hot_rows(d):
+    # d = 1 packs no lane, d <= 14 one lane at every n <= 12, and d = 40
+    # and 200 several (up to 16 at n = 12)
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 5, 12):
+        a = rng.integers(0, d, (300, n))
+        b = rng.integers(0, d, (300, n))
+        # half the pairs step on three axes only (d - 1, the coordinate
+        # with no digit, among them), so they keep meeting at every d
+        axes = np.array([0, d // 2, d - 1])
+        a[::2] = axes[rng.integers(0, 3, (150, n))]
+        b[::2] = axes[rng.integers(0, 3, (150, n))]
+        for other in (b, (b + 1) % d):    # the plain and the relabelled pair
+            want = coincidence_rows(a, other, d)
+            assert want[:, 1:].any()
+            assert _patterns_between(a, other, d).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 40, 200])
+def test_packed_patterns_meet_only_at_the_last_step(d):
+    # walk b takes walk a's distinct axes in rotated order: the two part at
+    # step 1 and first share a vertex again after all n steps
+    n = min(d, 12)
+    a = np.linspace(0, d - 1, n).astype(np.int64)[None, :]
+    b = np.roll(a, -1, axis=1)
+    want = [True] + [False] * (n - 1) + [True]
+    assert coincidence_rows(a, b, d).tolist() == [want]
+    assert _patterns_between(a, b, d).tolist() == [want]
+
+
+@pytest.mark.parametrize("width", [7, 64, 65, 130])
+def test_pattern_values_group_rows_of_any_width(width):
+    # rows of up to 64 steps pack into one word, longer ones into several
+    rng = np.random.default_rng(width)
+    rows = rng.random((40, width)) < 0.9
+    rows[:, 0] = True
+    rows[20:] = rows[:20]
+    # rows 30-39 differ from rows 10-19 in the last step only
+    rows[30:, -1] = ~rows[30:, -1]
+    dist = WeightDistribution.two_point(0.6)
+    want = [pair_chain_expectation(row, dist, 0.8) for row in rows]
+    assert _pattern_values(rows, dist, 0.8, False).tolist() == want
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 5), (3, 3)])
+def test_exact_ratio_sums_the_one_hot_rows_in_row_order(d, n):
+    # row j*N + i pairs walk i with walk j; each row's value is summed in
+    # that order, so the total is the same float bit for bit
+    dist = WeightDistribution.two_point(0.6)
+    every = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
+    cache, total = {}, 0.0
+    for j in range(len(every)):
+        for row in coincidence_rows(every, np.repeat(every[j:j + 1], len(every), 0), d):
+            key = tuple(row.tolist())
+            if key not in cache:
+                cache[key] = pair_chain_expectation(key, dist, 0.8)
+            total += cache[key]
+    assert path_count_moment_ratio(dist, d, 0.8, n).numerator == total
+
+
+def test_exact_ratio_at_more_axes_than_an_int8_holds():
+    # n = 1: the d pairs on one edge share it, the d(d-1) others split
+    d = 200
+    dist = WeightDistribution.two_point(0.6)
+    want = (d * pair_chain_expectation((True, True), dist, 0.3)
+            + d * (d - 1) * pair_chain_expectation((True, False), dist, 0.3))
+    got = path_count_moment_ratio(dist, d, 0.3, 1)
+    assert got.numerator == pytest.approx(want, rel=1e-12)
 
 
 def _pair_open_quad(steps_a, steps_b, lam, d):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import difference_walk_meetings
-from orientedcp.moments import _patterns_between, _walk_positions
+from _oracles import (coincidence_rows, difference_walk_meetings,
+                      walk_positions)
 from orientedcp.walks import (_block_meetings, _integrand, _record_counts,
                               _step_table, collision_functional,
                               meet_probability)
@@ -22,8 +22,7 @@ CONST = WeightDistribution.constant(1.0)
 def _meets(steps_a, steps_b, d):
     """(record, step) of every shared vertex of each walk pair, step 0
     included, listed step by step as collision_functional collects them."""
-    pattern = _patterns_between(_walk_positions(steps_a, d), _walk_positions(steps_b, d))
-    steps, rows = np.nonzero(pattern.T)
+    steps, rows = np.nonzero(coincidence_rows(steps_a, steps_b, d).T)
     return rows, steps
 
 
@@ -104,7 +103,7 @@ def test_difference_norm_parity_is_even():
     for _ in range(50):
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 20))
-        pos = _walk_positions(rng.integers(0, d, (2, n)), d)
+        pos = walk_positions(rng.integers(0, d, (2, n)), d)
         l1 = np.abs(pos[0] - pos[1]).sum(axis=1)
         assert (l1 % 2 == 0).all()
 
