@@ -151,6 +151,8 @@ def estimate_critical_rate(dist: WeightDistribution, d: int,
     check_box re-probes the answer at doubled side and horizon and flags
     whether the estimate moved by more than 3 joint standard errors.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     m2 = dist.second_moment
     if m2 <= 0:
         raise ValueError("weight law has zero second moment; nothing can spread")

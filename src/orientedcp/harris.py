@@ -78,12 +78,13 @@ class GraphicalRep:
                    a=np.asarray(a, np.int32)[order], b=np.asarray(b, np.int32)[order])
 
     def event_arrays(self):
-        """The table as (times, kinds, a, b) lists, which the replays index
-        faster than arrays.  Built once and cached; the rep is never mutated.
+        """The table's (kinds, a, b) columns as lists, which the replays
+        index faster than arrays; no replay reads the times.  Built once
+        and cached; the rep is never mutated.
         """
         if "events" not in self._cache:
-            self._cache["events"] = (self.times.tolist(), self.kinds.tolist(),
-                                     self.a.tolist(), self.b.tolist())
+            self._cache["events"] = (self.kinds.tolist(), self.a.tolist(),
+                                     self.b.tolist())
         return self._cache["events"]
 
     def n_events(self) -> int:
@@ -157,7 +158,7 @@ def _replay(rep: GraphicalRep, initial, dual: bool,
     """
     st = _resolve_set(rep.box, initial)
     alive = st.count(1)
-    _, kinds, a, b = rep.event_arrays()
+    kinds, a, b = rep.event_arrays()
     cols = (kinds, a, b, a) if dual else (kinds, a, a, b)
     for kind, x, u, w in zip(*(map(reversed, cols) if backwards else cols)):
         if kind == _MARK:
@@ -224,7 +225,7 @@ def removal_coupling_check(rep: GraphicalRep) -> bool:
     frozen = bytearray(box.n_vertices)   # 0 healthy, 1 infected, 2 removed
     plain[idx] = frozen[idx] = 1
     alive = 1                            # infected vertices of the freezing copy
-    _, kinds, a, b = rep.event_arrays()
+    kinds, a, b = rep.event_arrays()
     for kind, x, y in zip(kinds, a, b):
         if kind == _MARK:
             plain[x] = 0

@@ -27,10 +27,8 @@ share of thinned events grows with M^2 against the typical rho(x) rho(y):
 none for a one-valued law, about 40% for ``two_point(0.5)``, and most
 events for a law that puts little mass on a large M.
 
-M is the upper end of ``WeightField.span``: the largest support value
-of the field's ``law``, or the field's maximum when ``law`` is None.
-The first read of the span checks explicit weights against the law, so a
-field that leaves its law fails before it runs.  A one-valued law accepts
+M is the largest support value of the field's law (``law.span``), and
+every weight of the field lies in that support.  A one-valued law accepts
 every transmission, and its runs draw no acceptance uniform and read no
 weight; so a field rho = c at rate lam consumes the stream exactly as
 rho = 1 at rate lam * c^2 and reproduces it bit for bit.
@@ -38,9 +36,9 @@ rho = 1 at rate lam * c^2 and reproduces it bit for bit.
 Weights are read lazily, one vertex at a time, through ``WeightField.at``:
 a thinned transmission reads rho(x) and rho(y), and a sample time reads
 the weights of the infected to sum their mass (``math.fsum``, so the sum
-does not depend on their order).  A keyed field from ``sample_field``
-hashes a weight on its first read, so a run that dies after touching a
-few vertices pays for those alone, whatever the size of the box.
+does not depend on their order).  A field hashes a weight on its first
+read, so a run that dies after touching a few vertices pays for those
+alone, whatever the size of the box.
 
 Vertex states live in a ``bytearray`` (removed is byte 255), the infected
 vertices in a list.  Neither is built per run: the configuration keeps
@@ -186,7 +184,7 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     removed = [] if cfg.mode == ZETA else None
     after_recovery = REMOVED & 0xFF if removed is not None else HEALTHY
 
-    lo, bound = fld.span
+    lo, bound = fld.law.span
     sq_bound = bound * bound
     slot_rate = lam * sq_bound
     per_vertex = 1.0 + box.d * slot_rate

@@ -8,9 +8,11 @@ Randomness is keyed by counters, so nothing is drawn before it is read.
 
 - Seeds.  ``seed_key`` turns a seed into a list of nonnegative ints, and
   ``_fold`` hashes that list, 32-bit word by word, into 64 bits.
-- Fields.  ``sample_field(dist, box, seed)`` keeps the folded seed as the
-  field key K.  The weight at site x is the law's quantile of the 53-bit
-  uniform ``mix(K + code(x)) >> 11``, where ``mix`` is the SplitMix64
+- Fields.  A ``WeightField`` is a box, a law and a key, and
+  ``sample_field(dist, box, seed)`` is its one constructor; it keeps the
+  folded seed as the field key K.  The weight at site x is the law's
+  quantile of the 53-bit uniform ``mix(K + code(x)) >> 11``, so every
+  weight lies in the law's support; ``mix`` is the SplitMix64
   finaliser (Steele, Lea and Flood, OOPSLA 2014) and ``code(x)`` a hash of
   the site's coordinates (``_site_codes``).  The key is the site, not its
   vertex index, so boxes of sides L and 2L agree on every site they share.
@@ -163,7 +165,7 @@ class WeightDistribution:
 
     @functools.cached_property
     def _quantiles(self) -> tuple:
-        """(values, thresholds) as arrays, then as lists, for keyed fields.
+        """(values, thresholds) as arrays, then as lists, for the fields.
 
         A 53-bit int m maps to values[#{k : thresholds[k] <= m}], with
         thresholds[k] = ceil(cumulative[k] * 2^53).  That is exactly the
@@ -235,34 +237,17 @@ def _site_codes(box: BoxSpec) -> np.ndarray:
 
 
 class WeightField:
-    """One i.i.d. weight assignment on a box, immutable after creation.
+    """One i.i.d. weight assignment on a box: a box, a law and a key.
 
-    A field holds explicit ``weights``, or it is keyed: ``sample_field``
-    builds it from a law and a seed, and a weight is hashed only when it
-    is read (see the module docstring).  ``law`` is the law the weights
-    were drawn from, or None.  Equality and hashing are by identity.
+    ``sample_field`` builds every field from a law and a seed.  A weight
+    is hashed from the key and its site only when it is read (see the
+    module docstring), so every weight lies in the law's support.
+    Equality and hashing are by identity.
     """
 
-    def __init__(self, box: BoxSpec, weights, law: WeightDistribution | None = None):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (box.n_vertices,):
-            raise ValueError(f"weights shape {w.shape} != ({box.n_vertices},)")
-        if w.base is not None:
-            w = w.copy()  # a view could still change through its base
-        w.setflags(write=False)
-        self._box, self._law, self._weights = box, law, w
-        self._seed = self._key = self._span = self._at = None
-
-    @classmethod
-    def _keyed(cls, box: BoxSpec, law: WeightDistribution, seed: list) -> "WeightField":
-        fld = cls.__new__(cls)
-        fld._box, fld._law, fld._weights, fld._seed = box, law, None, seed
-        fld._key = fld._at = None
-        fld._span = law.span  # the weights come from the law
-        return fld
-
-    def __getstate__(self):
-        return {**self.__dict__, "_at": None}  # a memoryview does not pickle
+    def __init__(self, box: BoxSpec, law: WeightDistribution, seed: list):
+        self._box, self._law, self._seed = box, law, seed
+        self._key = self._weights = self._at = None
 
     def __repr__(self) -> str:
         return f"WeightField(box={self._box}, law={self._law})"
@@ -272,15 +257,15 @@ class WeightField:
         return self._box
 
     @property
-    def law(self) -> WeightDistribution | None:
+    def law(self) -> WeightDistribution:
         return self._law
 
     @property
     def weights(self) -> np.ndarray:
         """(V,) float64 weights, row-major and read-only.
 
-        A keyed field hashes the whole box in one vectorised pass on the
-        first read and keeps the array.
+        The whole box is hashed in one vectorised pass on the first read,
+        and the array is kept.
         """
         if self._weights is None:
             lo, hi = self._law.span
@@ -298,10 +283,10 @@ class WeightField:
     def at(self):
         """Per-vertex reads: ``fld.at[v]`` is the weight of vertex index v.
 
-        A keyed field hashes a vertex on its first read and keeps the
-        value, so a run pays only for the vertices it reads, and a
-        one-valued law reads nothing.  Explicit or already hashed weights
-        are read through a ``memoryview``.
+        A vertex is hashed on its first read and the value kept, so a run
+        pays only for the vertices it reads, and a one-valued law reads
+        nothing.  Weights already hashed for the whole box are read
+        through a ``memoryview``.
         """
         if self._at is None:
             self._at = (_Reads(self) if self._weights is None
@@ -313,36 +298,12 @@ class WeightField:
             self._key = _fold(self._seed, _FIELD)
         return self._key
 
-    @property
-    def span(self) -> tuple[float, float]:
-        """Smallest and largest support value of the field's law, or the
-        field's own extremes without a law.
-
-        ``kinetics.run`` takes its weight bound from the span, so the first
-        read rejects weights outside it, or negative or non-finite ones.
-        A keyed field's weights come from its law, so it skips this O(V)
-        check.
-        """
-        if self._span is None:
-            lo = float(np.minimum.reduce(self._weights))
-            hi = float(np.maximum.reduce(self._weights))
-            if not 0.0 <= lo <= hi < np.inf:
-                raise ValueError(f"weights must be finite and nonnegative, got [{lo}, {hi}]")
-            span = (lo, hi)
-            if self._law is not None:
-                span = self._law.span
-                if not span[0] <= lo <= hi <= span[1]:
-                    raise ValueError(f"weights [{lo}, {hi}] leave the law's support "
-                                     f"[{span[0]}, {span[1]}]")
-            self._span = span
-        return self._span
-
     def grid(self) -> np.ndarray:
         return self.weights.reshape(self._box.shape)
 
 
 class _Reads(dict):
-    """The weights of a keyed field by vertex index, hashed on first read.
+    """The weights of a field by vertex index, hashed on first read.
 
     Once a sixteenth of the box (at least 64 vertices) has been read, the
     next miss hashes the whole box in one vectorised pass, which costs
@@ -418,7 +379,7 @@ def sample_field(dist: WeightDistribution, box: BoxSpec, seed) -> WeightField:
     fields, and boxes of different sides agree on every site they share.
     Nothing is hashed until a weight is read.
     """
-    return WeightField._keyed(box, dist, seed_key(seed))
+    return WeightField(box, dist, seed_key(seed))
 
 
 def _stream_key(key: list) -> np.ndarray:
@@ -481,7 +442,3 @@ def _replicates(trial, dist, box, key, r0, r1, stop=None) -> list:
             break
     return out
 
-
-def constant_field(value: float, box: BoxSpec) -> WeightField:
-    """Deterministic field, handy for unit fixtures."""
-    return WeightField(box=box, weights=np.full(box.n_vertices, float(value)))

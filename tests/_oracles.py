@@ -10,7 +10,8 @@ step that the packed block kernel of ``walks`` replaced, and the one-hot
 walk positions that the packed coincidence rows of ``moments`` replaced.
 The package does not use them; the tests cross-check ``orientedcp`` against
 them, so they stay apart from the code they check.  ``read_csv`` reads back
-the CSV files the CLI writes.
+the CSV files the CLI writes, and ``constant_field`` and ``FixedField``
+are the fixed environments of the unit tests.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from orientedcp.kinetics import (_MODES, ETA_HAT, HEALTHY, INFECTED, REMOVED,
 from orientedcp.lattice import BoxSpec, in_box
 from orientedcp.moments import (edge_pass_probability,
                                 shared_source_pass_probability)
-from orientedcp.weights import WeightField, annealed_map, rng_from
+from orientedcp.weights import (WeightDistribution, WeightField, annealed_map,
+                                rng_from, sample_field)
 
 
 def read_csv(path: str):
@@ -42,6 +44,29 @@ def read_csv(path: str):
         digest = first.split("=", 1)[1]
         header, *rows = csv.reader(fh)
     return digest, header, rows
+
+
+def constant_field(value: float, box: BoxSpec) -> WeightField:
+    """The field rho = value on ``box``; a one-valued law hashes nothing, so
+    the seed is immaterial."""
+    return sample_field(WeightDistribution.constant(value), box, 0)
+
+
+class FixedField:
+    """Given weights on ``box``, with what ``kinetics.run`` and the oracles
+    read of a field: read-only ``weights``, ``at`` as a list, and as ``law``
+    the uniform table law on the distinct weights, with ``bound`` added to
+    its support when given, so a run thins against ``bound``.
+    """
+
+    def __init__(self, box: BoxSpec, weights, bound: float | None = None):
+        w = np.array(weights, dtype=np.float64)
+        w.setflags(write=False)
+        support = sorted(set(w.tolist())) + ([] if bound is None else [bound])
+        self.box, self.weights, self.at = box, w, w.tolist()
+        # an all-zero field is allowed: its law needs no mass on positive values
+        self.law = WeightDistribution(support, [1 / len(support)] * len(support),
+                                      strict=False)
 
 
 def index_vertex(box: BoxSpec, idx: int) -> tuple[int, ...]:
@@ -110,10 +135,10 @@ def run_on_events(cfg: Configuration, rep) -> np.ndarray:
     externally fixed event times; the tests compare its final states with
     ``harris.percolate_forward`` on the same rep.
     """
-    times, kinds, a, b = rep.event_arrays()
+    kinds, a, b = rep.event_arrays()
     states = cfg.states.copy()
     mode = cfg.mode
-    for i in range(len(times)):
+    for i in range(len(kinds)):
         if kinds[i] == 0:
             x = a[i]
             if states[x] == INFECTED:

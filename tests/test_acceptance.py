@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from _oracles import constant_field
 from orientedcp import cli, critfind, harris, kinetics, moments, walks
 from orientedcp.cli import main
 from orientedcp.lattice import BoxSpec
-from orientedcp.weights import WeightDistribution, constant_field
+from orientedcp.weights import WeightDistribution
 
 pytestmark = pytest.mark.acceptance
 

@@ -394,6 +394,14 @@ def test_site_percolation_below_threshold_has_no_critical_rate(tmp_path, capsys)
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_critscan_dimension_below_one_exits_2(tmp_path, capsys, d):
+    rc, out = _run(tmp_path, "critscan", f"d={d}")
+    assert rc == 2
+    assert f"d must be >= 1, got {d}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("name, sets", [
     ("simulate", ("lambda=0.5",)),
     ("f-decay", ("box.d=2", "lambda=0.1")),

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from _oracles import run_on_events, thin_arrows
+from _oracles import constant_field, run_on_events, thin_arrows
 from orientedcp import lattice
 from orientedcp.harris import (GraphicalRep, build, coupling_sweep,
                                duality_annealed, duality_check, duality_sweep,
@@ -13,7 +13,7 @@ from orientedcp.harris import (GraphicalRep, build, coupling_sweep,
                                removal_coupling_check)
 from orientedcp.kinetics import Configuration
 from orientedcp.lattice import BoxSpec
-from orientedcp.weights import WeightDistribution, constant_field, sample_field
+from orientedcp.weights import WeightDistribution, sample_field
 
 
 MARK, ARROW = 0, 1
@@ -280,7 +280,7 @@ def test_thinned_survival_is_nested():
 
 
 def _digest(rep):
-    ev = rep.event_arrays()
+    ev = (rep.times.tolist(),) + rep.event_arrays()
     return len(ev[0]), hashlib.sha256(repr(ev).encode()).hexdigest()
 
 

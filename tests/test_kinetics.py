@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _oracles import run_next_reaction, step_rates
-from orientedcp import kinetics, lattice
+from _oracles import FixedField, constant_field, run_next_reaction, step_rates
+from orientedcp import lattice
 from orientedcp.kinetics import (ETA, ETA_HAT, HEALTHY, INFECTED, REMOVED, ZETA,
                                  Configuration, decay_envelope, run,
                                  weighted_origin_occupancy)
 from orientedcp.lattice import BoxSpec
-from orientedcp.weights import (WeightDistribution, annealed_map, constant_field,
-                                sample_field)
+from orientedcp.weights import WeightDistribution, annealed_map, sample_field
 
 
 def _idx(box, x):
@@ -63,7 +62,7 @@ def test_step_rates_zero_weight_never_infected():
     box = BoxSpec(d=2, side=2)
     w = np.ones(box.n_vertices)
     w[_idx(box, (1, 1))] = 0.0
-    fld = kinetics.WeightField(box=box, weights=w)
+    fld = FixedField(box, w)
     cfg = _config(box, ETA, INFECTED, at={(1, 1): HEALTHY})
     rates = step_rates(cfg, fld, 5.0)
     assert rates[_idx(box, (1, 1))] == 0.0
@@ -145,24 +144,16 @@ def test_two_vertex_chain_against_matrix_exponential():
     assert abs(p_hat - p_surv) <= 3.0 * se
 
 
-def _field_with_bound(box, weights, bound):
-    """A fixed field whose law's support tops out at ``bound``."""
-    support = sorted(set(weights)) + [bound]
-    law = WeightDistribution.from_table(support, [1 / len(support)] * len(support))
-    return kinetics.WeightField(box=box, weights=np.array(weights), law=law)
-
-
 @pytest.mark.parametrize("mode", [ETA, ETA_HAT])
 @pytest.mark.parametrize("described", [True, False])
 def test_square_against_matrix_exponential(mode, described):
     # d=2, L=1: 4 vertices, 16 states.  Unequal weights make the engine thin
     # transmissions, and the corner vertices have fewer than d in-box
-    # targets, so some transmission slots are null events.  With a law
-    # the weight bound (2.5) exceeds every weight in the field.
+    # targets, so some transmission slots are null events.  When described,
+    # the law's weight bound (2.5) exceeds every weight in the field.
     box = BoxSpec(d=2, side=1)
     weights = [1.0, 0.5, 2.0, 1.5]
-    fld = (_field_with_bound(box, weights, 2.5) if described else
-           kinetics.WeightField(box=box, weights=np.array(weights)))
+    fld = FixedField(box, weights, 2.5 if described else None)
     lam, t = 0.8, 1.5
     Q = np.zeros((16, 16))
     for s in range(16):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from _oracles import (PathPercolation, coincidence_rows, count_paths,
-                      pair_factor, path_percolation, sample_path_percolation)
+from _oracles import (FixedField, PathPercolation, coincidence_rows, constant_field,
+                      count_paths, pair_factor, path_percolation,
+                      sample_path_percolation)
 from orientedcp import lattice, walks
 from orientedcp.lattice import BoxSpec
 from orientedcp.moments import (_pattern_values, _patterns_between,
@@ -16,8 +17,7 @@ from orientedcp.moments import (_pattern_values, _patterns_between,
                                 path_count_moment_ratio,
                                 shared_source_pass_probability,
                                 survival_lower_bound)
-from orientedcp.weights import (WeightDistribution, WeightField, constant_field,
-                                rng_from, sample_field)
+from orientedcp.weights import WeightDistribution, rng_from, sample_field
 
 CONST = WeightDistribution.constant(1.0)
 LAWS = (CONST, WeightDistribution.two_point(0.5),
@@ -219,7 +219,7 @@ def test_count_paths_mc_per_draw_matches_full_box_oracle():
                     w[simplex] = dist.sample(rng, len(simplex))
                     t_vertex[simplex] = rng.standard_exponential(len(simplex))
                     raw[:, simplex] = rng.standard_exponential((d, len(simplex)))
-                    fld = WeightField(box=box, weights=w)
+                    fld = FixedField(box, w)
                     perc = path_percolation(fld, 0.9, t_vertex, raw)
                     assert count_paths(perc, n) == est.mean, (dist.kind, d, n, s)
 

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import constant_field
 from orientedcp import critfind, harris
 from orientedcp.lattice import BoxSpec
-from orientedcp.weights import WeightDistribution, constant_field
+from orientedcp.weights import WeightDistribution
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 

@@ -66,10 +66,7 @@ def test_demo_and_readme_imports_are_listed():
 
 
 # Public names kept although no program path reaches them, with the reason.
-REACH_EXEMPT = {
-    "weights.constant_field": "deterministic-field fixture of criterion 10 and "
-                              "about 30 unit tests",
-}
+REACH_EXEMPT: dict[str, str] = {}
 
 
 def _definitions(tree):
@@ -127,6 +124,29 @@ def test_every_public_name_is_reached():
                 unreached.append(key)
     assert not unreached, unreached
     assert set(REACH_EXEMPT) <= defined, sorted(set(REACH_EXEMPT) - defined)
+
+
+def _calls_by_function(tree, name=None):
+    """(innermost enclosing function name or None, call) of every call."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            yield name, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else name
+        yield from _calls_by_function(child, inner)
+
+
+def test_only_sample_field_builds_a_field():
+    # a field is a box, a law and a key, so its one constructor draws it
+    # from a law; the tests' fixed fields live in tests/_oracles.py
+    paths = [p for d in ("src/orientedcp", "demos", "perfbench")
+             for p in sorted((ROOT / d).glob("*.py"))]
+    sources = [(p.relative_to(ROOT).as_posix(), ast.parse(p.read_text()))
+               for p in paths]
+    sources += [("README.md", ast.parse(block)) for block in _readme_python_blocks()]
+    callers = [(where, fn) for where, tree in sources
+               for fn, call in _calls_by_function(tree)
+               if _ident(call.func) == "WeightField"]
+    assert callers == [("src/orientedcp/weights.py", "sample_field")], callers
 
 
 # Parameters with a default that no program path sets, with the reason.
