@@ -5,7 +5,8 @@ per-vertex transition rates of a configuration, a replay of a fixed event
 table, the monotone arrow thinning of an event table, the per-draw
 open-path count on an explicit full-box clock structure, the one-step joint
 pass probability of a walk pair, the next-reaction event loop that the
-uniformized ``kinetics.run`` replaced, the per-coordinate difference-walk
+uniformized ``kinetics.run`` replaced, the first ``harris.build`` with its
+array-mean Poisson draw and stable sort, the per-coordinate difference-walk
 step that the packed block kernel of ``walks`` replaced, and the one-hot
 walk positions that the packed coincidence rows of ``moments`` replaced.
 The package does not use them; the tests cross-check ``orientedcp`` against
@@ -150,6 +151,40 @@ def run_on_events(cfg: Configuration, rep) -> np.ndarray:
             if states[x] == INFECTED and states[y] == HEALTHY:
                 states[y] = INFECTED
     return states
+
+
+def reference_build(box: BoxSpec, fld: WeightField, lam: float, horizon: float,
+                    seed) -> GraphicalRep:
+    """``harris.build`` as it first was: an array of Poisson means for every
+    law, a zero-filled per-stream count array scattered into, and one
+    stable sort by time, with the full lexsort only on a tie.
+    """
+    rng = rng_from(seed)
+    V = box.n_vertices
+    rho = fld.weights
+    kinds, a, b = harris._stream_columns(box)
+    counts = np.zeros(kinds.size, np.int64)   # events per stream
+
+    counts[:V] = rng.poisson(horizon, V)
+    mark_times = rng.random(int(counts[:V].sum()))
+
+    src, dst, _ = lattice.edge_table(box)
+    rates = lam * rho[src] * rho[dst]
+    live = np.flatnonzero(rates > 0)
+    arrow_counts = rng.poisson(rates[live] * horizon)
+    counts[V + live] = arrow_counts
+    arrow_times = rng.random(int(arrow_counts.sum()))
+
+    owner = np.repeat(np.arange(kinds.size), counts)
+    times = np.concatenate([mark_times, arrow_times]) * horizon
+    kinds, a, b = kinds[owner], a[owner], b[owner]
+    order = np.argsort(times, kind="stable")
+    ts = times[order]
+    if (ts[1:] == ts[:-1]).any():
+        order = np.lexsort((b, a, kinds, times))
+        ts = times[order]
+    return GraphicalRep(box=box, lam=lam, horizon=float(horizon), times=ts,
+                        kinds=kinds[order], a=a[order], b=b[order])
 
 
 def _stream_order(rep: GraphicalRep) -> np.ndarray:

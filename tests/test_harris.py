@@ -5,7 +5,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from _oracles import constant_field, run_on_events, thin_arrows
+from _oracles import (constant_field, reference_build, run_on_events,
+                      thin_arrows)
 from orientedcp import lattice
 from orientedcp.harris import (GraphicalRep, build, coupling_sweep,
                                duality_annealed, duality_check, duality_sweep,
@@ -383,3 +384,42 @@ def test_from_columns_breaks_time_ties_by_kind_and_vertices():
     got = list(zip(rep.times.tolist(), rep.kinds.tolist(), rep.a.tolist(),
                    rep.b.tolist()))
     assert got == sorted(rows)
+
+
+# one-rate laws (every edge that can fire has rate lam * c^2) and laws
+# with several edge rates; each is built at edge means 0, below 10 and at
+# or past 10, where numpy switches Poisson algorithms
+GRID_LAWS = (WeightDistribution.constant(1.7),
+             WeightDistribution.two_point(0.3, 1.3, 0.0),
+             WeightDistribution.two_point(0.5, 2.0, 0.5),
+             WeightDistribution.from_table((0.1, 10.0), (0.9, 0.1)))
+GRID_BOXES = (BoxSpec(1, 9), BoxSpec(2, 6), BoxSpec(3, 3))
+GRID_MEANS = (0.0, 2.5, 40.0)   # the largest edge mean, lam * bound^2 * horizon
+GRID_HORIZON = 3.0
+
+
+def _grid_builds(builder):
+    for law in GRID_LAWS:
+        for box in GRID_BOXES:
+            for mean in GRID_MEANS:
+                lam = mean / (law.bound ** 2 * GRID_HORIZON)
+                for r in range(3):
+                    fld = sample_field(law, box, [31, r])
+                    yield builder(box, fld, lam, GRID_HORIZON, [32, r])
+
+
+def test_build_matches_reference_build():
+    for got, want in zip(_grid_builds(build), _grid_builds(reference_build)):
+        for c in COLUMNS:
+            x, y = getattr(got, c), getattr(want, c)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_build_golden_across_laws():
+    # one frozen digest over every event table of the grid
+    h = hashlib.sha256()
+    for rep in _grid_builds(build):
+        h.update(repr([(c, getattr(rep, c).dtype.name, getattr(rep, c).tolist())
+                       for c in COLUMNS]).encode())
+    assert h.hexdigest() == (
+        "2aacec46bd07c5573edd9c8f0cc1d411af3765565486d6e9017dfecbb6682b8c")
