@@ -63,14 +63,15 @@ class GraphicalRep:
                      times, kinds, a, b) -> "GraphicalRep":
         """Sort unordered event columns into a rep.
 
-        Sampled times almost never tie, so one stable sort by time is the
-        (time, kind, a, b) order; only if two sorted times are equal does
-        the full lexsort run.
+        Sampled times almost never tie, and distinct times have only one
+        order, so any sort by time is the (time, kind, a, b) order; only
+        if two sorted times are not strictly increasing (a tie, or a NaN)
+        does the full lexsort run.
         """
         times = np.asarray(times, np.float64)
-        order = np.argsort(times, kind="stable")
+        order = times.argsort()
         ts = times[order]
-        if (ts[1:] == ts[:-1]).any():
+        if not (ts[1:] > ts[:-1]).all():
             order = np.lexsort((b, a, kinds, times))
             ts = times[order]
         return cls(box=box, lam=lam, horizon=float(horizon), times=ts,
@@ -112,28 +113,40 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
     Streams are drawn in a fixed order (all mark counts, all mark times,
     then arrow counts and times over the canonical edge order), so equal
     seeds give equal structures regardless of how they are later read.
-    Edges with zero rate get no stream at all.
+    Edges with zero rate get no stream at all.  Under a law with one
+    positive support value c (a constant law, or a two-valued law with 0)
+    every edge that can fire has rate lam * c^2, so the arrow counts take
+    that one scalar mean; numpy draws them in the same order by the same
+    algorithm as from an array of equal means, so the stream is the same.
     """
     if not (lam >= 0 and horizon > 0):
         raise ValueError(f"need lam >= 0 and horizon > 0, got lam={lam}, "
                          f"horizon={horizon}")
+    if fld.box is not box and fld.box != box:
+        raise ValueError(f"the field lives on {fld.box}, not on the box {box}")
     rng = rng_from(seed)
     V = box.n_vertices
     rho = fld.weights
-    kinds, a, b = _stream_columns(box)
-    counts = np.zeros(kinds.size, np.int64)   # events per stream
-
-    counts[:V] = rng.poisson(horizon, V)
-    mark_times = rng.random(int(counts[:V].sum()))
+    marks = rng.poisson(horizon, V)
+    mark_times = rng.random(int(marks.sum()))
 
     src, dst, _ = lattice.edge_table(box)
     rates = lam * rho[src] * rho[dst]
-    live = np.flatnonzero(rates > 0)
-    arrow_counts = rng.poisson(rates[live] * horizon)
-    counts[V + live] = arrow_counts
-    arrow_times = rng.random(int(arrow_counts.sum()))
+    live = (rates > 0).nonzero()[0]
+    lo, hi = fld.law.span
+    # the scalar is the same float as each live rate * horizon; with no
+    # live edge the array draw is kept, as it checks no mean
+    if live.size and (lo == hi or (lo == 0 and len(fld.law.values) == 2)):
+        arrows = rng.poisson(float(lam) * hi * hi * float(horizon), live.size)
+    else:
+        arrows = rng.poisson(rates[live] * horizon)
+    arrow_times = rng.random(int(arrows.sum()))
 
-    owner = np.repeat(np.arange(kinds.size), counts)
+    # row i of the table belongs to stream owner[i]: marks by vertex, then
+    # the live arrow streams
+    kinds, a, b = _stream_columns(box)
+    owner = np.concatenate([np.arange(V), live + V]).repeat(
+        np.concatenate([marks, arrows]))
     return GraphicalRep.from_columns(
         box, lam, horizon, np.concatenate([mark_times, arrow_times]) * horizon,
         kinds[owner], a[owner], b[owner])

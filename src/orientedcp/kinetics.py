@@ -172,6 +172,9 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
         raise ValueError(f"sample time {samples[-1]} lies past the horizon {horizon}")
 
     box = cfg.box
+    if fld.box is not box and fld.box != box:
+        raise ValueError(f"the field lives on {fld.box}, not on the "
+                         f"configuration's box {box}")
     # "dst" are the vertices that this vertex's infection can reach
     if cfg.mode == ETA_HAT:
         dst = lattice.in_neighbor_lists(box)

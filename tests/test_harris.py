@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -240,6 +241,20 @@ def test_build_rejects_nan_rate_and_horizon():
     for lam, horizon in ((math.nan, 1.0), (0.5, math.nan), (-0.1, 1.0), (0.5, 0.0)):
         with pytest.raises(ValueError, match=f"lam={lam}, horizon={horizon}"):
             build(box, fld, lam, horizon, 0)
+
+
+@pytest.mark.parametrize("box_side, fld_side", [(3, 6), (6, 3)])
+def test_build_rejects_a_field_on_another_box(box_side, fld_side):
+    # a field on a larger box would give the edges other sites' weights,
+    # and one on a smaller box would be read past its end
+    law = WeightDistribution.two_point(0.7)
+    box, other = BoxSpec(2, box_side), BoxSpec(2, fld_side)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(other))}.*{re.escape(str(box))}"):
+        build(box, sample_field(law, other, 1), 0.8, 2.0, seed=2)
+    # an equal box that is another object is the same box
+    same = build(box, sample_field(law, BoxSpec(2, box_side), 1), 0.8, 2.0, seed=2)
+    want = build(box, sample_field(law, box, 1), 0.8, 2.0, seed=2)
+    assert all(np.array_equal(getattr(same, c), getattr(want, c)) for c in COLUMNS)
 
 
 @pytest.mark.parametrize("site", [-1, 16, np.int64(-1)])

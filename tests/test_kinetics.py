@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ def test_run_rejects_nan_rate_and_horizon():
         run(start, fld, math.nan, 1.0, seed=0)
     with pytest.raises(ValueError, match="horizon must be positive, got nan"):
         run(start, fld, 0.5, math.nan, seed=0)
+
+
+@pytest.mark.parametrize("cfg_side, fld_side", [(3, 6), (6, 3)])
+def test_run_rejects_a_field_on_another_box(cfg_side, fld_side):
+    # a field on a larger box would feed the run other sites' weights, and
+    # one on a smaller box would be read past its end
+    law = WeightDistribution.two_point(0.7)
+    box, other = BoxSpec(2, cfg_side), BoxSpec(2, fld_side)
+    start = Configuration.all_infected(box)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(other))}.*{re.escape(str(box))}"):
+        run(start, sample_field(law, other, 1), 1.0, 1.0, seed=0)
+    # an equal box that is another object is the same box
+    same, want = (run(start, sample_field(law, b, 1), 1.0, 1.0, seed=0,
+                      sample_times=(0.5, 1.0)) for b in (BoxSpec(2, cfg_side), box))
+    assert same == want
 
 
 def test_all_healthy_dies_instantly():
