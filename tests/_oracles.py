@@ -5,14 +5,15 @@ per-vertex transition rates of a configuration, a replay of a fixed event
 table, the monotone arrow thinning of an event table, the per-draw
 open-path count on an explicit full-box clock structure, the one-step joint
 pass probability of a walk pair, the next-reaction event loop that the
-uniformized ``kinetics.run`` replaced, the first ``harris.build`` with its
-array-mean Poisson draw and stable sort, the per-coordinate difference-walk
-step that the packed block kernel of ``walks`` replaced, and the one-hot
-walk positions that the packed coincidence rows of ``moments`` replaced.
-The package does not use them; the tests cross-check ``orientedcp`` against
-them, so they stay apart from the code they check.  ``read_csv`` reads back
-the CSV files the CLI writes, and ``constant_field`` and ``FixedField``
-are the fixed environments of the unit tests.
+uniformized ``kinetics.run`` replaced, ``harris.build`` with an array of
+Poisson means for every law and a stable sort, the per-coordinate
+difference-walk step that the packed block kernel of ``walks`` replaced,
+and the one-hot walk positions that the packed coincidence rows of
+``moments`` replaced.  The package does not use them; the tests
+cross-check ``orientedcp`` against them, so they stay apart from the code
+they check.  ``read_csv`` reads back the CSV files the CLI writes, and
+``constant_field`` and ``FixedField`` are the fixed environments of the
+unit tests.
 """
 
 from __future__ import annotations
@@ -155,9 +156,10 @@ def run_on_events(cfg: Configuration, rep) -> np.ndarray:
 
 def reference_build(box: BoxSpec, fld: WeightField, lam: float, horizon: float,
                     seed) -> GraphicalRep:
-    """``harris.build`` as it first was: an array of Poisson means for every
-    law, a zero-filled per-stream count array scattered into, and one
-    stable sort by time, with the full lexsort only on a tie.
+    """``harris.build`` before its scalar draw for one-rate laws: an array
+    of Poisson means for every law, a zero-filled per-stream count array
+    scattered into, and one stable sort by time, with the full lexsort
+    only on a tie.
     """
     rng = rng_from(seed)
     V = box.n_vertices
