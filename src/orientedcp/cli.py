@@ -281,6 +281,9 @@ def _cmd_functional(cfg, dist, out, jobs, digest):
 
 
 def _cmd_critscan(cfg, dist, out, jobs, digest):
+    bad = [d for d in cfg["d"] if d < 1]
+    if bad:     # before the first scan, not after the scans ahead of it
+        raise ValueError(f"d must be >= 1, got {bad[0]}")
     key = seed_key(cfg["seed"])
     probe_rows, summaries, xs, ys, yerr = [], [], [], [], []
     for i, d in enumerate(cfg["d"]):

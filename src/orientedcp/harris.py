@@ -119,8 +119,8 @@ def build(box: BoxSpec, fld: WeightField, lam: float, horizon: float, seed) -> G
     that one scalar mean; numpy draws them in the same order by the same
     algorithm as from an array of equal means, so the stream is the same.
     """
-    if not (lam >= 0 and horizon > 0):
-        raise ValueError(f"need lam >= 0 and horizon > 0, got lam={lam}, "
+    if not (0 <= lam < math.inf and 0 < horizon < math.inf):
+        raise ValueError(f"need finite lam >= 0 and horizon > 0, got lam={lam}, "
                          f"horizon={horizon}")
     if fld.box is not box and fld.box != box:
         raise ValueError(f"the field lives on {fld.box}, not on the box {box}")

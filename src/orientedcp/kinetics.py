@@ -161,10 +161,11 @@ def run(cfg: Configuration, fld: WeightField, lam: float, horizon: float,
     the module docstring).  Identical (cfg, fld, lam, horizon, seed)
     reproduce the result exactly.  ``cfg`` is not modified.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not lam >= 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be {'finite' if horizon > 0 else 'positive'}, "
+                         f"got {horizon}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be {'finite' if lam >= 0 else 'nonnegative'}, got {lam}")
     samples = sorted(float(t) for t in sample_times)
     if samples and samples[0] < 0:
         raise ValueError("sample times must be nonnegative")

@@ -33,10 +33,12 @@ class BoxSpec:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.side < 1:
             raise ValueError(f"side must be >= 1, got {self.side}")
-        if self.n_vertices > MAX_VERTICES:
+        # (side + 1)^d >= 2^d, so a d past the cap's bit length is refused
+        # before the exact power, which for a huge d would never finish
+        if self.d >= MAX_VERTICES.bit_length() or self.n_vertices > MAX_VERTICES:
             raise ResourceLimitError(
-                f"box ({self.side + 1})^{self.d} has {self.n_vertices} vertices, "
-                f"limit is {MAX_VERTICES}"
+                f"box ({self.side + 1})^{self.d} exceeds the limit of "
+                f"{MAX_VERTICES} vertices"
             )
 
     @property

@@ -28,12 +28,15 @@ running sum along the steps per lane, and a meeting is a cell where every
 lane is zero.  Blocks hold at most 2**16 cells, laid out step-major.
 
 meet_probability draws a block's step codes in one call.
-collision_functional keeps its two draws per step, axis i then axis j for
-every pair, writes them into one (k, 2, n) block and forms the block's step
-codes in one pass.  Its stream stays frozen because a new one would re-roll
-its heavy-tailed estimate: the integrand has infinite variance at the rates
-it is run at, so one rare record with many episodes can decide its m-sums
-and whether they read as diverging.
+collision_functional's stream is frozen as two
+rng.integers(0, d, size=n, dtype=int16) calls per step, axis i then axis j
+for every pair, because a new stream would re-roll its heavy-tailed
+estimate: the integrand has infinite variance at the rates it is run at, so
+one rare record with many episodes can decide its m-sums and whether they
+read as diverging.  _Int16Reader gives the values of a block's calls from
+one pass over the bit generator's raw words, with no numpy call per step,
+and leaves the generator where the calls would; the functional writes them
+into one (k, 2, n) block and forms the block's step codes in one pass.
 
 moments reads the same table at horizon n for its coincidence rows.
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +188,122 @@ class FunctionalEstimate:
         return tuple(out)
 
 
+class _Int16Reader:
+    """Fills blocks of consecutive ``rng.integers(0, d, size=n, dtype=np.int16)``
+    calls from the bit generator's raw words, and leaves rng where those
+    calls leave it.
+
+    numpy's 16-bit bounded sampler (Lemire's method) reads the u32 stream,
+    low half of each 64-bit raw word first (the high half is kept as the
+    buffered ``uinteger``), and takes each u32's two u16 halves h, low
+    first.  A half gives the value (h * d) >> 16 and is rejected when the
+    low 16 bits of h * d fall below 2**16 % d; the unread high half of a
+    call's last u32 is dropped.  A call without a rejection spans
+    per = 2 * ceil(n / 2) halves, so up to 2**16 halves at a time are
+    turned into values and rejection positions by a few vector operations,
+    and only the few calls that hold a rejection are walked one by one.
+    Words are read once a call is known to need them, so none is read past
+    the last call.  Of numpy's own bit generators, those with a buffered
+    u32 have 64-bit raw words and MT19937 has u32 words; any other bit
+    generator is read call by call.
+
+    Positions count halves from the start of a fill.  The window
+    [start, end) holds the values of the halves read and not yet passed, in
+    vals; bad lists every rejected position read so far.
+    """
+
+    def __init__(self, rng: np.random.Generator, d: int, n: int):
+        self.rng, self.d, self.n = rng, d, n
+        self.bg = rng.bit_generator
+        st = self.bg.state
+        own = type(self.bg).__module__.startswith("numpy.random.")
+        self.wide = own and "has_uint32" in st
+        self.raw = self.wide or own and st["bit_generator"] == "MT19937"
+        self.per = 2 * (-(-n // 2))
+        self.chunk = max(1, _BLOCK_CELLS // self.per)    # calls read at a time
+        self.thr = (1 << 16) % d
+        # the window holds at most a partial call and a chunk, or one call
+        # and its rejections: more than twice its halves would need more
+        # rejections than values, and no d < 2**15 rejects a third
+        self.vals = np.empty((self.chunk + 1) * self.per + 8, dtype=np.uint32)
+        self.mask = np.empty(len(self.vals), dtype=bool)
+
+    def _take(self, u32: np.ndarray, p: int) -> None:
+        """Append the halves of u32 to the window, which then starts at p."""
+        h = u32.view("<u2")
+        keep = self.end - p
+        self.vals[:keep] = self.vals[p - self.start:self.end - self.start]
+        v = self.vals[keep:keep + len(h)]
+        if self.thr:
+            low = v.view(np.uint16)[:len(h)]
+            np.multiply(h, np.uint16(self.d), out=low)
+            mask = np.less(low, self.thr, out=self.mask[:len(h)])
+            self.bad += (np.flatnonzero(mask) + self.end).tolist()
+        np.multiply(h, self.d, out=v, dtype=np.uint32)
+        v >>= 16
+        self.start, self.end = p, self.end + len(h)
+
+    def _cover(self, p: int, target: int) -> None:
+        """Read raw words until the window reaches position target."""
+        need = (target - self.end) // 2             # u32; positions are even
+        if need > 0:
+            more = self.bg.random_raw(-(-need // 2) if self.wide else need)
+            more = more.astype("<u8", copy=False).view("<u4") if self.wide \
+                else more.astype("<u4")
+            self.last = int(more[-1])
+            self._take(more, p)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Fill each row of out, (calls, n) int16, as one call would."""
+        calls, n, per = len(out), self.n, self.per
+        if not self.raw:
+            for row in out:
+                row[:] = self.rng.integers(0, self.d, size=n, dtype=np.int16)
+            return
+        st = self.bg.state
+        self.start = self.end = 0
+        self.bad = bad = []
+        if self.wide and st["has_uint32"]:
+            self._take(np.array([st["uinteger"]], dtype="<u4"), 0)
+        held = self.end // 2
+        p = i = b = 0   # first unread position, first unfilled row, first rejection to check
+        self._cover(p, min(calls, self.chunk) * per)
+        while i < calls:
+            while b < len(bad) and (bad[b] < p or (bad[b] - p) % per >= n):
+                b += 1                          # passed, or in a dropped half
+            clean = min(calls - i, (self.end - p) // per)
+            if b < len(bad):
+                clean = min(clean, (bad[b] - p) // per)
+            if clean:
+                s = p - self.start
+                out[i:i + clean] = self.vals[s:s + clean * per].reshape(clean, per)[:, :n]
+                i += clean
+                p += clean * per
+            elif b == len(bad) or bad[b] - p >= n:  # the call runs past the window
+                self._cover(p, p + min(calls - i, self.chunk) * per)
+            else:       # the call holds a rejection: find its n-th accepted half
+                used = n
+                while True:
+                    self._cover(p, p + 2 * (-(-used // 2)))
+                    hit = bad[b:bisect_left(bad, p + used, b)]
+                    if n + len(hit) == used:
+                        break
+                    used = n + len(hit)
+                k, src = 0, p           # copy the runs between rejections
+                for r in hit + [p + used]:
+                    out[i, k:k + r - src] = self.vals[src - self.start:r - self.start]
+                    k, src = k + r - src, r + 1
+                i += 1
+                p += 2 * (-(-used // 2))
+        if self.wide:   # the high half of the last word read is buffered, or dropped
+            taken = p // 2 - held                   # raw u32 consumed
+            st = self.bg.state
+            if taken:
+                st["uinteger"] = self.last
+            st["has_uint32"] = taken % 2
+            self.bg.state = st
+
+
 def _record_counts(rows: np.ndarray, steps: np.ndarray, horizon: int):
     """(t, sk, sl, censored) per record from its meeting steps.
 
@@ -272,11 +392,10 @@ def collision_functional(dist: WeightDistribution, d: int, lam: float,
     met_steps = [np.zeros(samples, dtype=np.int32)]
     k = max(1, _BLOCK_CELLS // samples)
     axes = np.empty((k, 2, samples), dtype=np.int16)
+    draws = _Int16Reader(rng, d, samples)
     for step in range(0, horizon, k):
         block = axes[:horizon - step]
-        for pair in block:  # per step, axis i then axis j for every pair
-            pair[0] = rng.integers(0, d, size=samples, dtype=np.int16)
-            pair[1] = rng.integers(0, d, size=samples, dtype=np.int16)
+        draws.fill(block.reshape(-1, samples))  # per step, axis i then axis j
         codes = np.multiply(block[:, 0], d, dtype=np.intp)
         codes += block[:, 1]
         hits = _block_meetings(table, state, codes)

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import time
 
 import pytest
 
@@ -399,6 +401,32 @@ def test_critscan_dimension_below_one_exits_2(tmp_path, capsys, d):
     rc, out = _run(tmp_path, "critscan", f"d={d}")
     assert rc == 2
     assert f"d must be >= 1, got {d}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_critscan_rejects_a_later_dimension_before_the_first_scan(tmp_path, capsys):
+    # the d = 2 scan ahead of it takes about a second; the check takes none
+    t0 = time.perf_counter()
+    rc, out = _run(tmp_path, "critscan", "d=2,0")
+    assert rc == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "d must be >= 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("name, sets", [
+    ("simulate", ("lambda=0.5", "box.d=1000000000000")),
+    ("duality", ("lambda=0.8", "box.d=1000000000000")),
+    ("critscan", ("d=1000000000000",)),
+])
+def test_huge_dimension_exits_3_at_once(tmp_path, capsys, name, sets):
+    # (side + 1)^d is not formed exactly for a d this large
+    t0 = time.perf_counter()
+    rc, out = _run(tmp_path, name, *sets)
+    assert rc == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert re.search(r"box \(\d+\)\^1000000000000 exceeds the limit",
+                     capsys.readouterr().err)
     assert not os.path.exists(out)
 
 

@@ -238,7 +238,8 @@ def test_sweeps_and_annealed_reject_zero_reps():
 def test_build_rejects_nan_rate_and_horizon():
     box = BoxSpec(d=2, side=3)
     fld = constant_field(1.0, box)
-    for lam, horizon in ((math.nan, 1.0), (0.5, math.nan), (-0.1, 1.0), (0.5, 0.0)):
+    for lam, horizon in ((math.nan, 1.0), (0.5, math.nan), (-0.1, 1.0), (0.5, 0.0),
+                         (math.inf, 1.0), (0.5, math.inf)):
         with pytest.raises(ValueError, match=f"lam={lam}, horizon={horizon}"):
             build(box, fld, lam, horizon, 0)
 

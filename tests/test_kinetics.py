@@ -88,6 +88,10 @@ def test_run_rejects_nan_rate_and_horizon():
         run(start, fld, math.nan, 1.0, seed=0)
     with pytest.raises(ValueError, match="horizon must be positive, got nan"):
         run(start, fld, 0.5, math.nan, seed=0)
+    with pytest.raises(ValueError, match="lam must be finite, got inf"):
+        run(start, fld, math.inf, 1.0, seed=0)
+    with pytest.raises(ValueError, match="horizon must be finite, got inf"):
+        run(start, fld, 0.5, math.inf, seed=0)
 
 
 @pytest.mark.parametrize("cfg_side, fld_side", [(3, 6), (6, 3)])

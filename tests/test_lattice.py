@@ -25,6 +25,12 @@ def test_boxspec_validation():
         BoxSpec(d=2, side=0)
     with pytest.raises(ResourceLimitError):
         BoxSpec(d=12, side=31)  # 32^12 vertices
+    # a huge d is refused before (side + 1)^d is formed exactly
+    with pytest.raises(ResourceLimitError, match=r"box \(2\)\^1000000000000"):
+        BoxSpec(d=10**12, side=1)
+    assert BoxSpec(d=26, side=1).n_vertices == lattice.MAX_VERTICES   # at the cap
+    with pytest.raises(ResourceLimitError):
+        BoxSpec(d=27, side=1)
 
 
 def test_out_neighbors_examples():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from _oracles import (coincidence_rows, difference_walk_meetings,
                       walk_positions)
-from orientedcp.walks import (_block_meetings, _integrand, _record_counts,
-                              _step_table, collision_functional,
+from orientedcp.walks import (_block_meetings, _Int16Reader, _integrand,
+                              _record_counts, _step_table, collision_functional,
                               meet_probability)
 from orientedcp.weights import WeightDistribution, rng_from
 
@@ -376,6 +376,50 @@ def test_walk_block_temporaries_stay_small():
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class _SubclassedMT19937(np.random.MT19937):
+    """Not one of numpy's own bit generators: the reader draws call by call."""
+
+
+@pytest.mark.parametrize("make, odd_u32", [
+    (np.random.PCG64, False), (np.random.PCG64, True), (np.random.Philox, False),
+    (np.random.SFC64, False), (np.random.MT19937, False), (_SubclassedMT19937, False),
+])
+def test_int16_reader_matches_per_call_draws(make, odd_u32):
+    # the reader must give the values of consecutive integers() calls and
+    # leave the generator where they leave it, at every rejection rate
+    # (2**16 % d of 2**16 halves: none at d = 2, a third at d = 21846),
+    # call length and block split; an odd uint32 draw first leaves PCG64
+    # holding a buffered half-word
+    for d in (2, 3, 7, 10, 12, 40, 1000, 21846):
+        for n in (1, 3, 50, 301, 2000):
+            want, got = (np.random.Generator(make(d * 7919 + n)) for _ in range(2))
+            if odd_u32:
+                for g in (want, got):
+                    g.integers(0, 9, size=3, dtype=np.uint32)
+            reader = _Int16Reader(got, d, n)
+            for calls in (1, 7, 2, 40):
+                block = np.empty((calls, n), dtype=np.int16)
+                reader.fill(block)
+                assert np.array_equal(block, [want.integers(0, d, size=n, dtype=np.int16)
+                                              for _ in range(calls)]), (d, n, calls)
+                assert _same_state(got.bit_generator.state, want.bit_generator.state)
+
+
+def test_collision_functional_leaves_a_passed_generator_where_per_call_draws_do():
+    rng = np.random.default_rng(17)
+    collision_functional(CONST, 5, 0.5, 301, horizon=40, seed=rng)
+    want = np.random.default_rng(17)
+    for _ in range(2 * 40):
+        want.integers(0, 5, size=301, dtype=np.int16)
+    assert _same_state(rng.bit_generator.state, want.bit_generator.state)
 
 
 def test_integrand_overflow_is_the_ieee_quotient():
